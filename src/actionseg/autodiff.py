@@ -8,12 +8,15 @@ Gradients accumulate additively when a node feeds several consumers, and the
 fixed replay order makes two identical runs produce bit-identical gradients.
 
 With no tape active, the same operations just compute values and record
-nothing, which is how inference runs without retaining a graph.
+nothing, which is how inference runs without retaining a graph. The stack of
+active tapes is per thread, so a tape records only the operations of the
+thread that entered it.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Callable
 
 import numpy as np
@@ -39,7 +42,14 @@ __all__ = [
 ]
 
 _ids = itertools.count()
-_TAPES: list["Tape"] = []
+
+
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPES = _TapeStack()
 
 
 class Variable:
@@ -86,11 +96,11 @@ class Tape:
         self._leaves: dict[int, Variable] = {}
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _TAPES.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPES.pop()
+        _TAPES.tapes.pop()
 
     def backward(self, loss: Variable) -> dict[int, Tensor]:
         """Propagate d(loss) to every node; returns {vid: grad} for trainable leaves.
@@ -128,7 +138,7 @@ def _accum(v: Variable, arr: np.ndarray) -> None:
 
 def record(out: Variable, parents: tuple[Variable, ...], backward) -> Variable:
     """Attach a backward rule to ``out`` and append it to the active tape."""
-    tape = _TAPES[-1]
+    tape = _TAPES.tapes[-1]
     out.parents = parents
     out._backward = backward
     tape.ops.append(out)
@@ -139,7 +149,7 @@ def record(out: Variable, parents: tuple[Variable, ...], backward) -> Variable:
 
 
 def taping() -> bool:
-    return bool(_TAPES)
+    return bool(_TAPES.tapes)
 
 
 def as_variable(x) -> Variable:

@@ -16,6 +16,11 @@ sits on the decoding side:
 All variants end with a per-frame softmax read-out. Inputs whose length is
 not a multiple of 2**k are padded by repeating the final frame and outputs
 are trimmed back, so the output always has one row per input frame.
+
+Each variant is written once, as the ordered stage table that :func:`build`
+makes (``Model.table``, one :class:`Stage` per wiring layer). Parameter names
+and order, :meth:`Model.stages`, :func:`describe` and the gradient checker's
+restart points are all read off that table.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .tensor import Tensor
 __all__ = [
     "VARIANTS",
     "ModelConfig",
+    "Stage",
     "Model",
     "build",
     "describe",
@@ -49,6 +56,10 @@ VARIANTS = ("full", "high", "low", "conv_only")
 
 _CHECKPOINT_MAGIC = b"ASEGCKP1"
 _CHECKPOINT_VERSION = 1
+
+_NORM_ACT = "norm_relu+spatial_dropout"
+# describe() puts a stage's parameter count on its one row of these kinds
+_PARAM_KINDS = ("conv1d_same", "bilstm", "time_softmax_dense")
 
 
 @dataclass
@@ -88,43 +99,63 @@ class ModelConfig:
         return 32 + 32 * i
 
 
-class Model:
-    """Wired parameter set for one configuration.
+@dataclass
+class Stage:
+    """One wiring layer of the network: one entry of the stage table.
 
-    ``params`` maps stable names to the trainable variables in construction
-    order; the same variables are reachable through the typed blocks used by
-    :meth:`forward`. Parameters are mutated only by the optimizer between
-    passes, so inference over shared read-only parameters is safe from
-    concurrent callers.
+    ``name`` is the parameter prefix (``enc{i}``, ``mid``, ``dec{i}``, ``out``);
+    ``rows`` are its (name, kind) lines of :func:`describe`; ``blocks`` maps
+    each typed block's name prefix (``enc1.conv``, ``mid.lstm.fwd``) to the
+    block; ``forward(v, training, rng, *blocks)`` runs the stage;
+    ``shapes(t, width)`` gives the output shape after each row.
     """
 
-    def __init__(self, config: ModelConfig):
+    name: str
+    rows: tuple[tuple[str, str], ...]
+    blocks: dict[str, object]
+    forward: Callable[..., Variable]
+    shapes: Callable[[int, int], list[tuple[int, int]]]
+
+    @cached_property
+    def param_fields(self) -> dict[str, tuple[str, str]]:
+        """Parameter name -> (block prefix, field), block by block in field order."""
+        return {f"{prefix}.{f.name}": (prefix, f.name)
+                for prefix, block in self.blocks.items() for f in dataclasses.fields(block)}
+
+    def params(self) -> list[tuple[str, Variable]]:
+        return [(name, getattr(self.blocks[prefix], field))
+                for name, (prefix, field) in self.param_fields.items()]
+
+    def swap(self, name: str, var: Variable) -> "Stage":
+        """A copy of this stage, with a new block, whose parameter ``name`` is ``var``."""
+        prefix, field = self.param_fields[name]
+        swapped = dataclasses.replace(self.blocks[prefix], **{field: var})
+        return dataclasses.replace(self, blocks={**self.blocks, prefix: swapped})
+
+    def __call__(self, v, training: bool = False, rng=None) -> Variable:
+        return self.forward(v, training, rng, *self.blocks.values())
+
+
+class Model:
+    """Wired parameter set for one configuration: the stage table ``table``.
+
+    ``params`` maps stable names to the table's trainable variables in table
+    order, which is the checkpoint layout. Parameters are mutated only by the
+    optimizer between passes, so inference over shared read-only parameters
+    is safe from concurrent callers. That holds only because the tape stack
+    is per thread and the gradient check swaps parameters into copies of a
+    stage, never into the model.
+    """
+
+    def __init__(self, config: ModelConfig, table: list[Stage]):
         self.config = config
+        self.table = table
         self.params: dict[str, Variable] = {}
-        self._slots: dict[str, tuple[object, str]] = {}
-        self.encoder: list[Conv1DParams] = []
-        self.mid: tuple[LSTMParams, LSTMParams] | None = None
-        self.decoder: list[tuple[str, object]] = []
-        self.out: DenseParams | None = None
-
-    def _register(self, name: str, var: Variable, holder: object, attr: str) -> None:
-        var.name = name
-        var.trainable = True
-        self.params[name] = var
-        self._slots[name] = (holder, attr)
-
-    @contextmanager
-    def substitute(self, name: str, var: Variable):
-        """Temporarily stand ``var`` in for a named parameter (gradient checking)."""
-        holder, attr = self._slots[name]
-        old = self.params[name]
-        self.params[name] = var
-        setattr(holder, attr, var)
-        try:
-            yield
-        finally:
-            self.params[name] = old
-            setattr(holder, attr, old)
+        for stage in table:
+            for name, var in stage.params():
+                var.name = name
+                var.trainable = True
+                self.params[name] = var
 
     def parameter_count(self) -> int:
         return sum(v.value.size for v in self.params.values())
@@ -144,64 +175,11 @@ class Model:
         return arr, t_len
 
     def stages(self, training: bool = False, rng=None) -> list:
-        """The forward pass as a chain of stage functions, one per wiring layer.
-
-        Stage boundaries line up with parameter-name prefixes (enc{i}, mid,
-        dec{i}, out), which lets the gradient checker restart the computation
-        at the stage owning a perturbed block.
-        """
+        """The forward pass as a chain of stage functions, one per table entry."""
         cfg = self.config
         if training and rng is None and (cfg.dropout_conv > 0 or cfg.dropout_lstm > 0):
             raise ContractError("training forward with dropout needs an rng")
-        chain = []
-
-        for conv in self.encoder:
-            def enc_fn(v, conv=conv):
-                v = ly.conv1d_same(v, conv)
-                v = ly.norm_relu(v)
-                v = ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
-                return ly.max_pool_time(v)
-            chain.append(enc_fn)
-
-        if self.mid is not None:
-            chain.append(lambda v: ly.bilstm(v, *self.mid))
-
-        last = len(self.decoder)
-        for i, (kind, block) in enumerate(self.decoder, start=1):
-            if kind == "lstm":
-                # recurrent dropout sits between recurrent layers, not ahead
-                # of the read-out; the last layer of the conv-free decoder
-                # therefore skips it
-                dropped = not (cfg.variant == "full" and i == last)
-                def dec_fn(v, block=block, dropped=dropped):
-                    v = ly.bilstm(ly.upsample_repeat(v), *block)
-                    if dropped:
-                        v = ly.dropout(v, cfg.dropout_lstm, rng, training)
-                    return v
-            else:
-                def dec_fn(v, block=block):
-                    v = ly.conv1d_same(ly.upsample_repeat(v), block)
-                    v = ly.norm_relu(v)
-                    return ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
-            chain.append(dec_fn)
-
-        chain.append(lambda v: ly.time_softmax_dense(v, self.out))
-        return chain
-
-    def stage_index(self, param_name: str) -> int:
-        """Index of the stage that owns a parameter, by name prefix."""
-        head = param_name.split(".", 1)[0]
-        k = self.config.k
-        if head.startswith("enc"):
-            return int(head[3:]) - 1
-        mid = 1 if self.mid is not None else 0
-        if head == "mid":
-            return k
-        if head.startswith("dec"):
-            return k + mid + int(head[3:]) - 1
-        if head == "out":
-            return k + mid + len(self.decoder)
-        raise KeyError(param_name)
+        return [partial(stage, training=training, rng=rng) for stage in self.table]
 
     def forward(self, x, training: bool = False, rng=None) -> Variable:
         """Per-frame class probabilities, shape (frames, num_classes).
@@ -224,16 +202,7 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return Variable(Tensor._wrap(rng.uniform(-limit, limit, size=shape)))
 
 
-def _init_conv(model: Model, rng, name: str, filters: int, in_channels: int, width: int) -> Conv1DParams:
-    kernels = _glorot(rng, (filters, in_channels, width), in_channels * width, filters * width)
-    bias = Variable(Tensor.zeros(filters))
-    p = Conv1DParams(kernels, bias)
-    model._register(f"{name}.kernels", kernels, p, "kernels")
-    model._register(f"{name}.bias", bias, p, "bias")
-    return p
-
-
-def _init_lstm(model: Model, rng, name: str, hidden: int, in_dim: int) -> LSTMParams:
+def _init_lstm(rng, hidden: int, in_dim: int) -> LSTMParams:
     fields = {}
     for gate in ("i", "f", "o", "c"):
         fields[f"W_x{gate}"] = _glorot(rng, (hidden, in_dim), in_dim, hidden)
@@ -243,94 +212,104 @@ def _init_lstm(model: Model, rng, name: str, hidden: int, in_dim: int) -> LSTMPa
         # forget gate starts open to stabilize early recurrent training
         init = Tensor.ones(hidden) if gate == "f" else Tensor.zeros(hidden)
         fields[f"b_{gate}"] = Variable(init)
-    p = LSTMParams(**fields)
-    for attr, var in p.blocks():
-        model._register(f"{name}.{attr}", var, p, attr)
-    return p
-
-
-def _init_bilstm(model: Model, rng, name: str, hidden: int, in_dim: int):
-    fwd = _init_lstm(model, rng, f"{name}.fwd", hidden, in_dim)
-    bwd = _init_lstm(model, rng, f"{name}.bwd", hidden, in_dim)
-    return fwd, bwd
+    return LSTMParams(**fields)
 
 
 def build(config: ModelConfig) -> Model:
-    """Initialize all parameters for ``config`` and wire the variant.
+    """Initialize all parameters for ``config`` and wire the variant's stage table.
 
     Weights are uniform in +/-sqrt(6 / (fan_in + fan_out)); biases start at
-    zero except the recurrent forget gates, which start at one. The encoder
-    is constructed first and identically for every variant, so two variants
-    built from the same seed share encoder parameters exactly.
+    zero except the recurrent forget gates, which start at one. Parameters
+    are drawn in table order. The encoder comes first and is identical for
+    every variant, so two variants built from the same seed share encoder
+    parameters exactly.
     """
-    model = Model(config)
-    rng = np.random.default_rng(config.seed)
-    k, hidden = config.k, config.hidden
+    cfg = config
+    init = np.random.default_rng(cfg.seed)
+    two_h = 2 * cfg.hidden
 
-    channels = config.input_dim
-    for i in range(1, k + 1):
-        model.encoder.append(_init_conv(model, rng, f"enc{i}.conv", config.filters(i), channels, config.conv_len))
-        channels = config.filters(i)
+    def conv_block(prefix, filters, channels):
+        w = cfg.conv_len
+        kernels = _glorot(init, (filters, channels, w), channels * w, filters * w)
+        return {prefix: Conv1DParams(kernels, Variable(Tensor.zeros(filters)))}
 
-    if config.variant == "high":
-        model.mid = _init_bilstm(model, rng, "mid.lstm", hidden, channels)
-        channels = 2 * hidden
+    def bilstm_blocks(prefix, channels):
+        return {f"{prefix}.fwd": _init_lstm(init, cfg.hidden, channels),
+                f"{prefix}.bwd": _init_lstm(init, cfg.hidden, channels)}
 
-    for i in range(1, k + 1):
-        if config.variant == "full" or (config.variant == "low" and i == k):
-            pair = _init_bilstm(model, rng, f"dec{i}.lstm", hidden, channels)
-            model.decoder.append(("lstm", pair))
-            channels = 2 * hidden
+    def encode(v, training, rng, conv):
+        v = ly.norm_relu(ly.conv1d_same(v, conv))
+        v = ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
+        return ly.max_pool_time(v)
+
+    def decode_conv(v, training, rng, conv):
+        v = ly.norm_relu(ly.conv1d_same(ly.upsample_repeat(v), conv))
+        return ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
+
+    def decode_lstm(v, training, rng, fwd, bwd):
+        v = ly.bilstm(ly.upsample_repeat(v), fwd, bwd)
+        return ly.dropout(v, cfg.dropout_lstm, rng, training)
+
+    def decode_lstm_last(v, training, rng, fwd, bwd):
+        # recurrent dropout sits between recurrent layers, not ahead of the
+        # read-out; the last layer of the conv-free decoder skips it
+        return ly.bilstm(ly.upsample_repeat(v), fwd, bwd)
+
+    table, width = [], cfg.input_dim
+    for i in range(1, cfg.k + 1):
+        f = cfg.filters(i)
+        table.append(Stage(f"enc{i}", ((f"enc{i}.conv", "conv1d_same"), (f"enc{i}.act", _NORM_ACT),
+                                       (f"enc{i}.pool", "max_pool_time")),
+                           conv_block(f"enc{i}.conv", f, width), encode,
+                           lambda t, w, f=f: [(t, f), (t, f), (t // 2, f)]))
+        width = f
+
+    if cfg.variant == "high":
+        table.append(Stage("mid", (("mid.lstm", "bilstm"),), bilstm_blocks("mid.lstm", width),
+                           lambda v, training, rng, fwd, bwd: ly.bilstm(v, fwd, bwd),
+                           lambda t, w: [(t, two_h)]))
+        width = two_h
+
+    for i in range(1, cfg.k + 1):
+        up = (f"dec{i}.up", "upsample_repeat")
+        if cfg.variant == "full" or (cfg.variant == "low" and i == cfg.k):
+            fn = decode_lstm_last if cfg.variant == "full" and i == cfg.k else decode_lstm
+            table.append(Stage(f"dec{i}", (up, (f"dec{i}.lstm", "bilstm")),
+                               bilstm_blocks(f"dec{i}.lstm", width), fn,
+                               lambda t, w: [(2 * t, w), (2 * t, two_h)]))
+            width = two_h
         else:
-            filters = config.filters(k + 1 - i)
-            conv = _init_conv(model, rng, f"dec{i}.conv", filters, channels, config.conv_len)
-            model.decoder.append(("conv", conv))
-            channels = filters
+            f = cfg.filters(cfg.k + 1 - i)
+            table.append(Stage(f"dec{i}", (up, (f"dec{i}.conv", "conv1d_same"), (f"dec{i}.act", _NORM_ACT)),
+                               conv_block(f"dec{i}.conv", f, width), decode_conv,
+                               lambda t, w, f=f: [(2 * t, w), (2 * t, f), (2 * t, f)]))
+            width = f
 
-    w = _glorot(rng, (config.num_classes, channels), channels, config.num_classes)
-    b = Variable(Tensor.zeros(config.num_classes))
-    model.out = DenseParams(w, b)
-    model._register("out.W", w, model.out, "W")
-    model._register("out.b", b, model.out, "b")
-    return model
+    w = _glorot(init, (cfg.num_classes, width), width, cfg.num_classes)
+    table.append(Stage("out", (("out", "time_softmax_dense"),),
+                       {"out": DenseParams(w, Variable(Tensor.zeros(cfg.num_classes)))},
+                       lambda v, training, rng, dense: ly.time_softmax_dense(v, dense),
+                       lambda t, w: [(t, cfg.num_classes)]))
+    return Model(cfg, table)
 
 
 def describe(model: Model, ref_t: int | None = None) -> list[tuple[str, str, tuple[int, int], int]]:
-    """Layer table: (name, kind, output shape at the reference length, param count)."""
+    """Layer table: (name, kind, output shape at the reference length, param count).
+
+    The rows, their shapes and the parameter counts are read off the stage
+    table; a stage's parameter count goes on its one row that holds them.
+    """
     cfg = model.config
     t = ref_t if ref_t is not None else 4 * 2 ** cfg.k
+    if t < 1:
+        raise ContractError(f"reference length must be positive, got {t}")
     if t % 2 ** cfg.k != 0:
         raise ContractError(f"reference length {t} must be a multiple of {2 ** cfg.k}")
     rows = [("input", "input", (t, cfg.input_dim), 0)]
-
-    def count(*variables):
-        return sum(v.value.size for v in variables)
-
-    for i, conv in enumerate(model.encoder, start=1):
-        rows.append((f"enc{i}.conv", "conv1d_same", (t, conv.filters), count(conv.kernels, conv.bias)))
-        rows.append((f"enc{i}.act", "norm_relu+spatial_dropout", (t, conv.filters), 0))
-        t //= 2
-        rows.append((f"enc{i}.pool", "max_pool_time", (t, conv.filters), 0))
-    width = model.encoder[-1].filters
-
-    if model.mid is not None:
-        width = 2 * cfg.hidden
-        rows.append(("mid.lstm", "bilstm", (t, width),
-                     count(*(v for p in model.mid for _, v in p.blocks()))))
-
-    for i, (kind, block) in enumerate(model.decoder, start=1):
-        t *= 2
-        rows.append((f"dec{i}.up", "upsample_repeat", (t, width), 0))
-        if kind == "lstm":
-            width = 2 * cfg.hidden
-            rows.append((f"dec{i}.lstm", "bilstm", (t, width),
-                         count(*(v for p in block for _, v in p.blocks()))))
-        else:
-            width = block.filters
-            rows.append((f"dec{i}.conv", "conv1d_same", (t, width), count(block.kernels, block.bias)))
-            rows.append((f"dec{i}.act", "norm_relu+spatial_dropout", (t, width), 0))
-
-    rows.append(("out", "time_softmax_dense", (t, cfg.num_classes), count(model.out.W, model.out.b)))
+    for stage in model.table:
+        n = sum(var.value.size for _, var in stage.params())
+        for (name, kind), shape in zip(stage.rows, stage.shapes(*rows[-1][2])):
+            rows.append((name, kind, shape, n if kind in _PARAM_KINDS else 0))
     return rows
 
 
@@ -391,7 +370,10 @@ def load_checkpoint(path) -> Model:
         raw, off = take(2, off)
         (name_len,) = struct.unpack("<H", raw)
         raw, off = take(name_len, off)
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{path}: parameter name {raw!r} is not UTF-8") from exc
         raw, off = take(1, off)
         (ndim,) = struct.unpack("<B", raw)
         raw, off = take(4 * ndim, off)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -258,33 +259,30 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
     """Max relative gradient error of the full loss for every parameter block.
 
     Each block is checked coordinate-by-coordinate against central
-    differences with the model's other parameters held fixed. Stage outputs
-    upstream of the perturbed block do not depend on it, so they are computed
-    once and every probe restarts from the owning stage.
+    differences with the model's other parameters held fixed, in
+    ``model.params`` (stage table) order. Stage outputs upstream of the
+    owning stage do not depend on the block, so they are computed once; each
+    probe reruns from a copy of the owning stage built around the probe
+    variable (``Stage.swap``). The model's parameters and blocks are never
+    replaced; the gradients the taped passes leave on them are cleared.
     """
     arr, t_len = model.prepare_input(x)
-    stages = model.stages(training=False, rng=None)
-    prefix = [Tensor._wrap(arr)]
-    cur = Variable(prefix[0])
-    for fn in stages:
-        cur = fn(cur)
-        prefix.append(cur.value)
+    inputs = [Tensor._wrap(arr)]
+    for stage in model.table:
+        inputs.append(stage(Variable(inputs[-1])).value)
 
-    def loss_from(stage_idx, start_value):
-        u = Variable(start_value)
-        for fn in stages[stage_idx:]:
-            u = fn(u)
+    def loss_from(s, name, v):
+        u = model.table[s].swap(name, v)(Variable(inputs[s]))
+        for stage in model.table[s + 1:]:
+            u = stage(u)
         if u.value.shape[0] != t_len:
             u = slice_axis(u, 0, 0, t_len)
         return cross_entropy_loss(u, labels)
 
     rows = []
-    for name in model.params:
-        s = model.stage_index(name)
-        def f(v, _name=name, _s=s, _start=prefix[s]):
-            with model.substitute(_name, v):
-                return loss_from(_s, _start)
-        rows.append((name, finite_diff_check(f, model.params[name].value, eps)))
+    for s, stage in enumerate(model.table):
+        for name, var in stage.params():
+            rows.append((name, finite_diff_check(partial(loss_from, s, name), var.value, eps)))
     for p in model.params.values():
         p.zero_grad()
     return rows

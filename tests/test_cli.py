@@ -2,6 +2,7 @@ import pytest
 
 import actionseg.layers
 from actionseg.cli import main
+from actionseg.model import ModelConfig, build, save_checkpoint
 
 SYNTH_CFG = """
 [synth]
@@ -152,6 +153,18 @@ def test_predict_feature_width_mismatch_exits_2(workdir, tmp_path):
     assert rc == 2
 
 
+def test_predict_non_utf8_parameter_name_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=2, num_classes=2, k=1, conv_len=2, hidden=2)), ckpt)
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob.replace(b"enc1.conv.kernels", b"\xffnc1.conv.kernels", 1))
+    feat = tmp_path / "x.features.txt"
+    feat.write_text("2 2\n0.0 0.0\n1.0 1.0\n")
+    rc = main(["predict", "--checkpoint", str(ckpt), "--features", str(feat), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_gradcheck_passes_on_small_config(capsys):
     rc = main(["gradcheck", "--variant", "full", "--depth", "1", "--frames", "4", "--dim", "2",
                "--classes", "2", "--conv-len", "2", "--hidden", "2",
@@ -186,6 +199,15 @@ def test_inspect_from_config_and_checkpoint(workdir, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(workdir / "run")]) == 0
     assert main(["inspect", "--checkpoint", str(workdir / "run" / "checkpoint.bin")]) == 0
     assert main(["inspect"]) == 2
+
+
+@pytest.mark.parametrize("ref_frames", ["0", "-4"])
+def test_inspect_non_positive_ref_frames_exits_2(tmp_path, ref_frames, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=2, num_classes=2, k=1, conv_len=2, hidden=2)), ckpt)
+    assert main(["inspect", "--checkpoint", str(ckpt), "--ref-frames", ref_frames]) == 2
+    captured = capsys.readouterr()
+    assert "reference length" in captured.err and captured.out == ""
 
 
 def test_train_rerun_byte_identical_outputs(workdir):

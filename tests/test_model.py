@@ -1,11 +1,37 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from actionseg.autodiff import Tape, Variable
 from actionseg.errors import ConfigError, LoadError, ShapeError
 from actionseg.model import (VARIANTS, ModelConfig, build, describe, format_describe,
                              load_checkpoint, save_checkpoint)
 
 RNG = np.random.default_rng(60)
+
+LSTM_FIELDS = ("W_xi", "W_xf", "W_xo", "W_xc", "W_hi", "W_hf", "W_ho", "W_hc",
+               "b_i", "b_f", "b_o", "b_c")
+
+
+def _conv(prefix):
+    return [f"{prefix}.kernels", f"{prefix}.bias"]
+
+
+def _bilstm(prefix):
+    return [f"{prefix}.{d}.{f}" for d in ("fwd", "bwd") for f in LSTM_FIELDS]
+
+
+_ENC = _conv("enc1.conv") + _conv("enc2.conv")
+_OUT = ["out.W", "out.b"]
+# parameter names in order at k=2: the checkpoint layout
+GOLDEN_NAMES = {
+    "full": _ENC + _bilstm("dec1.lstm") + _bilstm("dec2.lstm") + _OUT,
+    "high": _ENC + _bilstm("mid.lstm") + _conv("dec1.conv") + _conv("dec2.conv") + _OUT,
+    "low": _ENC + _conv("dec1.conv") + _bilstm("dec2.lstm") + _OUT,
+    "conv_only": _ENC + _conv("dec1.conv") + _conv("dec2.conv") + _OUT,
+}
 
 
 def toy_config(variant="full", **kw):
@@ -76,6 +102,63 @@ def test_variants_share_encoder_given_same_seed():
     for v, m in models.items():
         for name in ("enc1.conv.kernels", "enc1.conv.bias", "enc2.conv.kernels", "enc2.conv.bias"):
             assert np.array_equal(m.params[name].value.data, ref.params[name].value.data), (v, name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parameter_names_and_order_at_k2(variant):
+    assert list(build(toy_config(variant)).params) == GOLDEN_NAMES[variant]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_describe_stage_shapes_match_stages(variant):
+    m = build(toy_config(variant))
+    t = 4 * 2 ** m.config.k
+    described = {}  # the last row of each stage is the stage's output
+    for name, _, shape, _ in describe(m, ref_t=t)[1:]:
+        described[name.split(".")[0]] = shape
+    cur = Variable(RNG.normal(size=(t, 3)))
+    produced = []
+    for stage in m.stages():
+        cur = stage(cur)
+        produced.append(cur.value.shape)
+    assert produced == list(described.values())
+
+
+def test_tapes_are_per_thread():
+    # while one thread holds a tape, forwards on other threads record nothing
+    # onto it, and a tape entered on another thread records only that thread
+    m = build(toy_config("full", k=1))
+    x = RNG.normal(size=(8, 3))
+    ref = Tape()
+    with ref:
+        m.forward(x)
+    counts, errors = [], []
+
+    def infer():
+        try:
+            m.forward(x)
+            tape = Tape()
+            with tape:
+                m.forward(x)
+            counts.append(len(tape.ops))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    held = Tape()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with held:
+            workers = [threading.Thread(target=infer) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and errors == []
+    assert len(held.ops) == 0
+    assert counts == [len(ref.ops)] * 4
 
 
 def test_variants_share_encoder_outputs_given_same_seed():

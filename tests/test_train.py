@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from actionseg.autodiff import Variable, finite_diff_check
 from actionseg.data import SynthConfig, synth_generate
 from actionseg.errors import ContractError
-from actionseg.layers import softmax_time
-from actionseg.model import ModelConfig, build
+from actionseg.layers import Conv1DParams, DenseParams, LSTMParams, softmax_time
+from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.tensor import Tensor
 from actionseg.train import (AdamState, TrainingDiverged, adam_step, cross_entropy_loss,
-                             predict, train)
+                             finite_difference_report, predict, train)
 
 RNG = np.random.default_rng(70)
 
@@ -203,3 +204,23 @@ def test_report_kv_excludes_wall_time():
     assert "wall" not in kv
     assert "epoch.1.loss=" in kv and "final.val.acc=" in kv
     assert "wall_time_s" in report.to_text()
+
+
+def test_finite_difference_report_only_reads_the_model(monkeypatch):
+    def guarded(block, attr, value):
+        if attr in block.__dict__:
+            raise AssertionError(f"{type(block).__name__}.{attr} assigned during the report")
+        object.__setattr__(block, attr, value)
+
+    for cls in (Conv1DParams, LSTMParams, DenseParams):
+        monkeypatch.setattr(cls, "__setattr__", guarded)
+    x = RNG.normal(size=(2, 1))
+    for variant in VARIANTS:
+        model = build(ModelConfig(input_dim=1, num_classes=2, variant=variant, k=1, conv_len=1,
+                                  hidden=1, dropout_conv=0.0, dropout_lstm=0.0, seed=3))
+        params = dict(model.params)
+        model.params = MappingProxyType(params)  # read-only: any assignment raises
+        rows = finite_difference_report(model, x, [0, 1])
+        assert [name for name, _ in rows] == list(params)
+        assert all(np.isfinite(err) for _, err in rows)
+        assert all(model.params[name] is var for name, var in params.items())
