@@ -16,7 +16,7 @@ from actionseg import autodiff as ad
 print("== tensors ==")
 a = Tensor([[1.0, 2.0], [3.0, 4.0]])
 print("a =", a.tolist(), "shape", a.shape)
-print("a @ a =", np.matmul(a.data, a.data).tolist(), "(tensor ops mirror numpy semantics)")
+print("a @ a =", ad.matmul(a, a).value.tolist(), "(an operation with no tape just computes)")
 
 print()
 print("== taping a computation ==")

@@ -1,4 +1,11 @@
-"""Reverse-mode differentiation over the tensor primitives.
+"""The array operations of the package and their reverse-mode differentiation.
+
+Each operation is written once, here: it checks its operand shapes, computes
+its value with numpy into a fresh read-only :class:`~actionseg.tensor.Tensor`
+and, while a tape is active, records its backward rule. Elementwise
+operations accept one broadcasting rule, a row bias (shape (N,) or (1, N))
+against an (M, N) matrix, stated in ``_pointwise``; every other pair of
+shapes must match exactly.
 
 The graph is built as it runs: while a :class:`Tape` is active, every
 operation appends its output node to the tape's ordered record. ``backward``
@@ -21,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
@@ -158,19 +164,27 @@ def as_variable(x) -> Variable:
     return Variable(x)
 
 
+def _pointwise(ufunc, a: Variable, b: Variable) -> Tensor:
+    """Apply ``ufunc`` elementwise under the one broadcasting rule of the package.
+
+    Shapes must match exactly, except a row bias: an operand of shape (N,) or
+    (1, N) against an (M, N) matrix. :func:`_unbroadcast` relies on this.
+    """
+    sa, sb = a.shape, b.shape
+    if sa != sb and not any(len(mat) == 2 and bias in ((mat[1],), (1, mat[1]))
+                            for mat, bias in ((sa, sb), (sb, sa))):
+        raise ShapeError(f"elementwise shape mismatch: {sa} vs {sb}")
+    return Tensor._wrap(ufunc(a.value.data, b.value.data))
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if shape == (g.shape[1],):
-        return g.sum(axis=0)
-    if shape == (1, g.shape[1]):
-        return g.sum(axis=0, keepdims=True)
-    raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
+    # _pointwise admits only a row bias, which is summed over the rows
+    return g if g.shape == shape else g.sum(axis=0).reshape(shape)
 
 
 def add(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
-    out = Variable(T.add(a.value, b.value))
+    out = Variable(_pointwise(np.add, a, b))
     if taping():
         def bw(g):
             _accum(a, _unbroadcast(g, a.value.shape))
@@ -181,7 +195,7 @@ def add(a, b) -> Variable:
 
 def sub(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
-    out = Variable(T.sub(a.value, b.value))
+    out = Variable(_pointwise(np.subtract, a, b))
     if taping():
         def bw(g):
             _accum(a, _unbroadcast(g, a.value.shape))
@@ -192,7 +206,7 @@ def sub(a, b) -> Variable:
 
 def mul(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
-    out = Variable(T.mul(a.value, b.value))
+    out = Variable(_pointwise(np.multiply, a, b))
     if taping():
         ad, bd = a.value.data, b.value.data
         def bw(g):
@@ -203,10 +217,13 @@ def mul(a, b) -> Variable:
 
 
 def matmul(a, b) -> Variable:
+    """Matrix product of an (M, K) and a (K, N) operand."""
     a, b = as_variable(a), as_variable(b)
-    out = Variable(T.matmul(a.value, b.value))
+    ad, bd = a.value.data, b.value.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+    out = Variable(Tensor._wrap(ad @ bd))
     if taping():
-        ad, bd = a.value.data, b.value.data
         def bw(g):
             _accum(a, g @ bd.T)
             _accum(b, ad.T @ g)
@@ -216,7 +233,9 @@ def matmul(a, b) -> Variable:
 
 def transpose(a) -> Variable:
     a = as_variable(a)
-    out = Variable(T.transpose(a.value))
+    if a.value.ndim != 2:
+        raise ShapeError(f"transpose needs a rank-2 tensor, got shape {a.shape}")
+    out = Variable(Tensor._wrap(a.value.data.T.copy()))
     if taping():
         def bw(g):
             _accum(a, g.T)
@@ -226,9 +245,13 @@ def transpose(a) -> Variable:
 
 def concat(a, b, axis: int) -> Variable:
     a, b = as_variable(a), as_variable(b)
-    out = Variable(T.concat(a.value, b.value, axis))
+    sa, sb = a.shape, b.shape
+    if (len(sa) != len(sb) or not 0 <= axis < len(sa)
+            or any(d != axis and sa[d] != sb[d] for d in range(len(sa)))):
+        raise ShapeError(f"concat shape mismatch on axis {axis}: {sa} vs {sb}")
+    out = Variable(Tensor._wrap(np.concatenate([a.value.data, b.value.data], axis=axis)))
     if taping():
-        split = a.value.shape[axis]
+        split = sa[axis]
         def bw(g):
             _accum(a, np.take(g, range(split), axis=axis))
             _accum(b, np.take(g, range(split, g.shape[axis]), axis=axis))
@@ -237,15 +260,19 @@ def concat(a, b, axis: int) -> Variable:
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Variable:
+    """Sub-range [start, stop) along one axis, as a copy; bounds must be non-empty and in range."""
     a = as_variable(a)
-    out = Variable(T.slice_axis(a.value, axis, start, stop))
+    shape = a.shape
+    if not 0 <= axis < len(shape):
+        raise ShapeError(f"slice axis {axis} out of range for shape {shape}")
+    if not 0 <= start < stop <= shape[axis]:
+        raise ShapeError(f"slice bounds [{start}, {stop}) invalid for axis {axis} of shape {shape}")
+    idx = tuple(slice(start, stop) if d == axis else slice(None) for d in range(len(shape)))
+    out = Variable(Tensor._wrap(a.value.data[idx].copy()))
     if taping():
-        shape = a.value.shape
         def bw(g):
             full = np.zeros(shape, dtype=np.float64)
-            idx = [slice(None)] * len(shape)
-            idx[axis] = slice(start, stop)
-            full[tuple(idx)] = g
+            full[idx] = g
             _accum(a, full)
         record(out, (a,), bw)
     return out
@@ -274,10 +301,13 @@ def sum_all(a) -> Variable:
 
 
 def reduce_sum(a, axis: int) -> Variable:
+    """Sum along ``axis``; the axis is removed from the result."""
     a = as_variable(a)
-    out = Variable(T.reduce(a.value, axis, "sum"))
+    shape = a.shape
+    if not 0 <= axis < len(shape):
+        raise IndexError(f"reduce axis {axis} out of range for shape {shape}")
+    out = Variable(Tensor._wrap(np.sum(a.value.data, axis=axis)))
     if taping():
-        shape = a.value.shape
         def bw(g):
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), shape))
         record(out, (a,), bw)

@@ -14,7 +14,7 @@ maximum) route their gradient to the earliest maximal index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 NORM_RELU_EPS = 1e-5
-
-_GATES = ("i", "f", "o", "c")
 
 
 @dataclass
@@ -97,13 +95,10 @@ class LSTMParams:
 
     def __post_init__(self):
         h, d = self.W_xi.value.shape
-        for gate in _GATES:
-            if getattr(self, f"W_x{gate}").value.shape != (h, d):
-                raise ShapeError(f"W_x{gate} shape {getattr(self, f'W_x{gate}').value.shape} != ({h}, {d})")
-            if getattr(self, f"W_h{gate}").value.shape != (h, h):
-                raise ShapeError(f"W_h{gate} shape {getattr(self, f'W_h{gate}').value.shape} != ({h}, {h})")
-            if getattr(self, f"b_{gate}").value.shape != (h,):
-                raise ShapeError(f"b_{gate} shape {getattr(self, f'b_{gate}').value.shape} != ({h},)")
+        for name, want in zip(LSTM_FIELDS, [(h, d)] * 4 + [(h, h)] * 4 + [(h,)] * 4):
+            got = getattr(self, name).value.shape
+            if got != want:
+                raise ShapeError(f"{name} shape {got} != {want}")
 
     @property
     def hidden(self) -> int:
@@ -114,8 +109,13 @@ class LSTMParams:
         return self.W_xi.value.shape[1]
 
     def blocks(self) -> list[tuple[str, Variable]]:
-        names = [f"W_x{g}" for g in _GATES] + [f"W_h{g}" for g in _GATES] + [f"b_{g}" for g in _GATES]
-        return [(n, getattr(self, n)) for n in names]
+        return [(n, getattr(self, n)) for n in LSTM_FIELDS]
+
+
+# The LSTMParams field names in declaration order: W_x*, W_h*, b_*, each in
+# gate order. This is also the order of the initial draws and of the
+# checkpoint layout.
+LSTM_FIELDS = tuple(f.name for f in fields(LSTMParams))
 
 
 @dataclass
@@ -236,10 +236,8 @@ def upsample_repeat(x) -> Variable:
 
 
 def _stack_params(p: LSTMParams):
-    wx = np.concatenate([getattr(p, f"W_x{g}").value.data for g in _GATES], axis=0)
-    wh = np.concatenate([getattr(p, f"W_h{g}").value.data for g in _GATES], axis=0)
-    b = np.concatenate([getattr(p, f"b_{g}").value.data for g in _GATES])
-    return wx, wh, b
+    arrs = [getattr(p, n).value.data for n in LSTM_FIELDS]
+    return np.concatenate(arrs[:4]), np.concatenate(arrs[4:8]), np.concatenate(arrs[8:])
 
 
 def _state_vec(v, hidden: int, what: str) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 from . import layers as ly
 from .autodiff import Variable, slice_axis
 from .errors import ConfigError, ContractError, LoadError, ShapeError
-from .layers import Conv1DParams, DenseParams, LSTMParams
+from .layers import LSTM_FIELDS, Conv1DParams, DenseParams, LSTMParams
 from .tensor import Tensor
 
 __all__ = [
@@ -163,7 +163,9 @@ class Model:
     def prepare_input(self, x) -> tuple[np.ndarray, int]:
         """Validate the feature matrix and pad its length to a multiple of 2**k."""
         cfg = self.config
-        arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        # a Tensor's buffer is already read-only; anything else is copied, because
+        # the pass wraps the array in a Tensor, which freezes it
+        arr = x.data if isinstance(x, Tensor) else np.array(x, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != cfg.input_dim:
             raise ShapeError(
                 f"input shape {arr.shape} does not match expected (frames, {cfg.input_dim})"
@@ -204,14 +206,14 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 
 def _init_lstm(rng, hidden: int, in_dim: int) -> LSTMParams:
     fields = {}
-    for gate in ("i", "f", "o", "c"):
-        fields[f"W_x{gate}"] = _glorot(rng, (hidden, in_dim), in_dim, hidden)
-    for gate in ("i", "f", "o", "c"):
-        fields[f"W_h{gate}"] = _glorot(rng, (hidden, hidden), hidden, hidden)
-    for gate in ("i", "f", "o", "c"):
-        # forget gate starts open to stabilize early recurrent training
-        init = Tensor.ones(hidden) if gate == "f" else Tensor.zeros(hidden)
-        fields[f"b_{gate}"] = Variable(init)
+    for name in LSTM_FIELDS:  # draws in field order: W_x*, then W_h*
+        if name.startswith("W_x"):
+            fields[name] = _glorot(rng, (hidden, in_dim), in_dim, hidden)
+        elif name.startswith("W_h"):
+            fields[name] = _glorot(rng, (hidden, hidden), hidden, hidden)
+        else:
+            # forget gate starts open to stabilize early recurrent training
+            fields[name] = Variable(Tensor.ones(hidden) if name == "b_f" else Tensor.zeros(hidden))
     return LSTMParams(**fields)
 
 

@@ -1,13 +1,14 @@
-"""Dense 64-bit real arrays plus the handful of primitives every layer is built from.
+"""Dense 64-bit real arrays: the value type every layer computes on.
 
 Tensors are immutable values: every operation returns a fresh Tensor and the
 underlying buffer is marked read-only, so concurrent use on distinct inputs
 needs no locking. Storage is row-major with time as the leading axis for all
 sequence data (frames x channels).
 
-Broadcasting is deliberately narrow: the only mixed-shape case accepted by the
-elementwise operations is a row bias, shape (N,) or (1, N), against an (M, N)
-matrix. Everything else must match exactly.
+This module holds only the value type. The array operations are written once,
+in :mod:`actionseg.autodiff`: with no tape active they just compute values,
+so they serve inference as well as training. That module also states the one
+broadcasting rule the elementwise operations accept.
 """
 
 from __future__ import annotations
@@ -18,19 +19,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = [
-    "Tensor",
-    "matmul",
-    "elementwise",
-    "add",
-    "sub",
-    "mul",
-    "reduce",
-    "concat",
-    "slice_axis",
-    "transpose",
-    "allclose",
-]
+__all__ = ["Tensor"]
 
 
 class Tensor:
@@ -68,10 +57,6 @@ class Tensor:
     def ones(cls, shape: Sequence[int] | int) -> "Tensor":
         return cls._wrap(np.ones(shape, dtype=np.float64))
 
-    @classmethod
-    def full(cls, shape: Sequence[int] | int, value: float) -> "Tensor":
-        return cls._wrap(np.full(shape, value, dtype=np.float64))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -99,98 +84,3 @@ class Tensor:
 def _check_dims(shape: Iterable[int]) -> None:
     if any(d < 1 for d in shape):
         raise ShapeError(f"all dimension sizes must be >= 1, got shape {tuple(shape)}")
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of an (M, K) and a (K, N) tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return Tensor._wrap(a.data @ b.data)
-
-
-_ELEMENTWISE = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
-
-
-def broadcast_pair(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
-    """Result shape for an elementwise op, allowing only the row-bias case."""
-    if sa == sb:
-        return sa
-    for mat, bias in ((sa, sb), (sb, sa)):
-        if len(mat) == 2 and bias in ((mat[1],), (1, mat[1])):
-            return mat
-    raise ShapeError(f"elementwise shape mismatch: {sa} vs {sb}")
-
-
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Pointwise add/sub/mul; shapes must match apart from a (1, N) row bias."""
-    if op not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op!r}, expected one of {sorted(_ELEMENTWISE)}")
-    a, b = _as_tensor(a), _as_tensor(b)
-    broadcast_pair(a.shape, b.shape)
-    return Tensor._wrap(_ELEMENTWISE[op](a.data, b.data))
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return elementwise(a, b, "mul")
-
-
-_REDUCERS = {"max": np.max, "sum": np.sum, "mean": np.mean}
-
-
-def reduce(a: Tensor, axis: int, op: str) -> Tensor:
-    """Apply max/sum/mean along ``axis``; the axis is removed from the result."""
-    if op not in _REDUCERS:
-        raise ValueError(f"unknown reduce op {op!r}, expected one of {sorted(_REDUCERS)}")
-    a = _as_tensor(a)
-    if not 0 <= axis < a.ndim:
-        raise IndexError(f"reduce axis {axis} out of range for shape {a.shape}")
-    return Tensor._wrap(_REDUCERS[op](a.data, axis=axis))
-
-
-def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != b.ndim or not 0 <= axis < a.ndim:
-        raise ShapeError(f"concat shape mismatch on axis {axis}: {a.shape} vs {b.shape}")
-    for d in range(a.ndim):
-        if d != axis and a.shape[d] != b.shape[d]:
-            raise ShapeError(f"concat shape mismatch on axis {axis}: {a.shape} vs {b.shape}")
-    return Tensor._wrap(np.concatenate([a.data, b.data], axis=axis))
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Sub-range [start, stop) along one axis. Bounds must be non-empty and in range."""
-    a = _as_tensor(a)
-    if not 0 <= axis < a.ndim:
-        raise ShapeError(f"slice axis {axis} out of range for shape {a.shape}")
-    if not 0 <= start < stop <= a.shape[axis]:
-        raise ShapeError(
-            f"slice bounds [{start}, {stop}) invalid for axis {axis} of shape {a.shape}"
-        )
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    return Tensor._wrap(a.data[tuple(idx)].copy())
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got shape {a.shape}")
-    return Tensor._wrap(a.data.T.copy())
-
-
-def allclose(a: Tensor, b: Tensor, atol: float = 0.0, rtol: float = 0.0) -> bool:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return a.shape == b.shape and bool(np.allclose(a.data, b.data, atol=atol, rtol=rtol))

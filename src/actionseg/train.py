@@ -264,7 +264,8 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
     owning stage do not depend on the block, so they are computed once; each
     probe reruns from a copy of the owning stage built around the probe
     variable (``Stage.swap``). The model's parameters and blocks are never
-    replaced; the gradients the taped passes leave on them are cleared.
+    replaced, and each parameter's accumulated gradient is put back as it
+    was before the report.
     """
     arr, t_len = model.prepare_input(x)
     inputs = [Tensor._wrap(arr)]
@@ -279,10 +280,17 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
             u = slice_axis(u, 0, 0, t_len)
         return cross_entropy_loss(u, labels)
 
-    rows = []
-    for s, stage in enumerate(model.table):
-        for name, var in stage.params():
-            rows.append((name, finite_diff_check(partial(loss_from, s, name), var.value, eps)))
-    for p in model.params.values():
+    # the taped passes accumulate onto the model's own variables: start them
+    # from no gradient, so that the caller's arrays are never added to
+    saved = [(p, p._grad) for p in model.params.values()]
+    for p, _ in saved:
         p.zero_grad()
+    rows = []
+    try:
+        for s, stage in enumerate(model.table):
+            for name, var in stage.params():
+                rows.append((name, finite_diff_check(partial(loss_from, s, name), var.value, eps)))
+    finally:
+        for p, g in saved:
+            p._grad = g
     return rows

@@ -1,30 +1,32 @@
+"""The Tensor value type and the array operations of ``autodiff`` run untaped."""
+
 import numpy as np
 import pytest
 
+from actionseg import autodiff as ad
 from actionseg.errors import ShapeError
-from actionseg import tensor as T
 from actionseg.tensor import Tensor
 
 
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = Tensor([[3.0, 4.0], [5.0, 6.0]])
-    assert T.matmul(eye, m).tolist() == [[3.0, 4.0], [5.0, 6.0]]
+    assert ad.matmul(eye, m).value.tolist() == [[3.0, 4.0], [5.0, 6.0]]
 
 
 def test_matmul_zero():
-    out = T.matmul(Tensor.zeros((2, 3)), Tensor.ones((3, 2)))
+    out = ad.matmul(Tensor.zeros((2, 3)), Tensor.ones((3, 2))).value
     assert out.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_matmul_hand():
-    out = T.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+    out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])).value
     assert out.tolist() == [[11.0]]
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as err:
-        T.matmul(Tensor.zeros((2, 3)), Tensor.zeros((4, 2)))
+        ad.matmul(Tensor.zeros((2, 3)), Tensor.zeros((4, 2)))
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
 
@@ -35,43 +37,82 @@ def test_matmul_associativity_random_chains():
         a = Tensor(rng.normal(size=(m, k)))
         b = Tensor(rng.normal(size=(k, n)))
         c = Tensor(rng.normal(size=(n, p)))
-        left = T.matmul(T.matmul(a, b), c)
-        right = T.matmul(a, T.matmul(b, c))
+        left = ad.matmul(ad.matmul(a, b), c).value
+        right = ad.matmul(a, ad.matmul(b, c)).value
         assert np.max(np.abs(left.data - right.data)) <= 1e-9
 
 
 def test_elementwise_add_hand():
-    assert T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).tolist() == [4.0, 6.0]
+    assert ad.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).value.tolist() == [4.0, 6.0]
 
 
 def test_elementwise_mul_zero():
     x = Tensor([[1.5, -2.0], [0.25, 9.0]])
-    assert T.mul(x, Tensor.zeros((2, 2))).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert ad.mul(x, Tensor.zeros((2, 2))).value.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_elementwise_bias_broadcast():
     m = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     bias = Tensor([[10.0, 20.0, 30.0]])
-    out = T.add(m, bias)
+    out = ad.add(m, bias).value
     assert out.tolist() == [[11.0, 22.0, 33.0], [14.0, 25.0, 36.0]]
     flat_bias = Tensor([10.0, 20.0, 30.0])
-    assert T.add(m, flat_bias).tolist() == out.tolist()
+    assert ad.add(m, flat_bias).value.tolist() == out.tolist()
+    assert ad.sub(flat_bias, m).value.tolist() == [[9.0, 18.0, 27.0], [6.0, 15.0, 24.0]]
 
 
 def test_elementwise_shape_error():
     with pytest.raises(ShapeError):
-        T.add(Tensor.zeros((2, 3)), Tensor.zeros((3, 2)))
+        ad.add(Tensor.zeros((2, 3)), Tensor.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: ad.matmul(Tensor.zeros((2, 3)), Tensor.zeros((4, 2))),
+     ShapeError, "matmul shape mismatch: (2, 3) @ (4, 2)"),
+    (lambda: ad.matmul(Tensor.zeros(3), Tensor.zeros((3, 2))),
+     ShapeError, "matmul shape mismatch: (3,) @ (3, 2)"),
+    (lambda: ad.add(Tensor.zeros((2, 3)), Tensor.zeros((3, 2))),
+     ShapeError, "elementwise shape mismatch: (2, 3) vs (3, 2)"),
+    (lambda: ad.sub(Tensor.zeros(2), Tensor.zeros((2, 3))),
+     ShapeError, "elementwise shape mismatch: (2,) vs (2, 3)"),
+    (lambda: ad.mul(Tensor.zeros((2, 3)), Tensor.zeros((2, 1))),
+     ShapeError, "elementwise shape mismatch: (2, 3) vs (2, 1)"),
+    (lambda: ad.add(Tensor.zeros((1, 2, 3)), Tensor.zeros(3)),
+     ShapeError, "elementwise shape mismatch: (1, 2, 3) vs (3,)"),
+    (lambda: ad.reduce_sum(Tensor([1.0, 2.0]), 1),
+     IndexError, "reduce axis 1 out of range for shape (2,)"),
+    (lambda: ad.reduce_sum(Tensor([1.0, 2.0]), -1),
+     IndexError, "reduce axis -1 out of range for shape (2,)"),
+    (lambda: ad.concat(Tensor.zeros((2, 3)), Tensor.zeros((2, 4)), 0),
+     ShapeError, "concat shape mismatch on axis 0: (2, 3) vs (2, 4)"),
+    (lambda: ad.concat(Tensor.zeros((2, 3)), Tensor.zeros(3), 0),
+     ShapeError, "concat shape mismatch on axis 0: (2, 3) vs (3,)"),
+    (lambda: ad.concat(Tensor.zeros((2, 3)), Tensor.zeros((2, 3)), 2),
+     ShapeError, "concat shape mismatch on axis 2: (2, 3) vs (2, 3)"),
+    (lambda: ad.slice_axis(Tensor.zeros((2, 3)), 2, 0, 1),
+     ShapeError, "slice axis 2 out of range for shape (2, 3)"),
+    (lambda: ad.slice_axis(Tensor([1.0, 2.0]), 0, 1, 4),
+     ShapeError, "slice bounds [1, 4) invalid for axis 0 of shape (2,)"),
+    (lambda: ad.slice_axis(Tensor([1.0, 2.0]), 0, 1, 1),
+     ShapeError, "slice bounds [1, 1) invalid for axis 0 of shape (2,)"),
+    (lambda: ad.transpose(Tensor.zeros(3)),
+     ShapeError, "transpose needs a rank-2 tensor, got shape (3,)"),
+])
+def test_shape_errors_name_the_shapes(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_reduce_examples():
-    assert T.reduce(Tensor([1.0, 5.0, 3.0]), 0, "max").item() == 5.0
-    assert T.reduce(Tensor([[1.0, 2.0], [3.0, 4.0]]), 0, "sum").tolist() == [4.0, 6.0]
-    assert T.reduce(Tensor([2.0, 4.0]), 0, "mean").item() == 3.0
+    assert ad.reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), 0).value.tolist() == [4.0, 6.0]
+    assert ad.reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), 1).value.tolist() == [3.0, 7.0]
+    assert ad.reduce_sum(Tensor([2.0, 4.0]), 0).value.item() == 6.0
 
 
 def test_reduce_bad_axis():
     with pytest.raises(IndexError):
-        T.reduce(Tensor([1.0, 2.0]), 1, "sum")
+        ad.reduce_sum(Tensor([1.0, 2.0]), 1)
 
 
 def test_reduce_sum_matches_sequential_accumulation_exactly():
@@ -82,18 +123,25 @@ def test_reduce_sum_matches_sequential_accumulation_exactly():
         t = Tensor(ints)
         total = np.zeros(cols)
         for i in range(rows):
-            total = total + T.slice_axis(t, 0, i, i + 1).data[0]
-        assert np.array_equal(T.reduce(t, 0, "sum").data, total)
+            total = total + ad.slice_axis(t, 0, i, i + 1).value.data[0]
+        assert np.array_equal(ad.reduce_sum(t, 0).value.data, total)
 
 
 def test_concat_slice_examples():
-    assert T.concat(Tensor([1.0]), Tensor([2.0]), 0).tolist() == [1.0, 2.0]
-    assert T.slice_axis(Tensor([1.0, 2.0, 3.0]), 0, 1, 3).tolist() == [2.0, 3.0]
+    assert ad.concat(Tensor([1.0]), Tensor([2.0]), 0).value.tolist() == [1.0, 2.0]
+    assert ad.slice_axis(Tensor([1.0, 2.0, 3.0]), 0, 1, 3).value.tolist() == [2.0, 3.0]
+
+
+def test_slice_and_transpose_return_copies():
+    t = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
+    for out in (ad.slice_axis(t, 0, 0, 1), ad.slice_axis(t, 1, 1, 3), ad.transpose(t)):
+        assert not np.shares_memory(out.value.data, t.data)
+        assert out.value.data.flags["C_CONTIGUOUS"]
 
 
 def test_transpose_involution():
     m = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    assert np.array_equal(T.transpose(T.transpose(m)).data, m.data)
+    assert np.array_equal(ad.transpose(ad.transpose(m)).value.data, m.data)
 
 
 def test_concat_slice_round_trip_random():
@@ -106,16 +154,16 @@ def test_concat_slice_round_trip_random():
         shape_b[axis] = int(rng.integers(1, 5))
         a = Tensor(rng.normal(size=shape_a))
         b = Tensor(rng.normal(size=tuple(shape_b)))
-        joined = T.concat(a, b, axis)
-        back_a = T.slice_axis(joined, axis, 0, shape_a[axis])
-        back_b = T.slice_axis(joined, axis, shape_a[axis], joined.shape[axis])
+        joined = ad.concat(a, b, axis).value
+        back_a = ad.slice_axis(joined, axis, 0, shape_a[axis]).value
+        back_b = ad.slice_axis(joined, axis, shape_a[axis], joined.shape[axis]).value
         assert np.array_equal(back_a.data, a.data)
         assert np.array_equal(back_b.data, b.data)
 
 
 def test_slice_bounds_error():
     with pytest.raises(ShapeError):
-        T.slice_axis(Tensor([1.0, 2.0]), 0, 1, 4)
+        ad.slice_axis(Tensor([1.0, 2.0]), 0, 1, 4)
 
 
 def test_zero_size_dimension_rejected():
@@ -127,12 +175,14 @@ def test_operations_preserve_finiteness():
     rng = np.random.default_rng(3)
     a = Tensor(rng.normal(size=(4, 4)) * 1e6)
     b = Tensor(rng.normal(size=(4, 4)) * 1e6)
-    for out in (T.matmul(a, b), T.add(a, b), T.mul(a, b),
-                T.reduce(a, 0, "sum"), T.concat(a, b, 1), T.transpose(a)):
-        assert np.all(np.isfinite(out.data))
+    for out in (ad.matmul(a, b), ad.add(a, b), ad.sub(a, b), ad.mul(a, b),
+                ad.reduce_sum(a, 0), ad.concat(a, b, 1), ad.transpose(a)):
+        assert np.all(np.isfinite(out.value.data))
 
 
 def test_tensors_are_immutable_buffers():
     t = Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
         t.data[0] = 5.0
+    with pytest.raises(ValueError):
+        ad.add(t, t).value.data[0] = 5.0

@@ -4,7 +4,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from actionseg.autodiff import Variable, finite_diff_check
+from actionseg.autodiff import Tape, Variable, finite_diff_check
 from actionseg.data import SynthConfig, synth_generate
 from actionseg.errors import ContractError
 from actionseg.layers import Conv1DParams, DenseParams, LSTMParams, softmax_time
@@ -224,3 +224,29 @@ def test_finite_difference_report_only_reads_the_model(monkeypatch):
         assert [name for name, _ in rows] == list(params)
         assert all(np.isfinite(err) for _, err in rows)
         assert all(model.params[name] is var for name, var in params.items())
+
+
+def test_forward_passes_leave_the_callers_array_writable():
+    model = build(ModelConfig(input_dim=2, num_classes=2, variant="conv_only", k=1, conv_len=1,
+                              hidden=1, dropout_conv=0.0, dropout_lstm=0.0, seed=5))
+    x = RNG.normal(size=(4, 2))  # a multiple of 2**k: no padding copy
+    predict(model, x)
+    x[0, 0] = 1.0
+    model.forward(x, training=True, rng=np.random.default_rng(0))
+    x[0, 1] = 1.0
+    finite_difference_report(model, x, [0, 1, 0, 1])
+    x[1, 0] = 1.0
+
+
+def test_finite_difference_report_keeps_the_callers_gradients():
+    model = build(ModelConfig(input_dim=2, num_classes=2, variant="conv_only", k=1, conv_len=1,
+                              hidden=1, dropout_conv=0.0, dropout_lstm=0.0, seed=6))
+    x, labels = Tensor(RNG.normal(size=(4, 2))), [0, 1, 0, 1]
+    with Tape() as tape:
+        loss = cross_entropy_loss(model.forward(x), labels)
+    tape.backward(loss)
+    before = {name: p._grad.copy() for name, p in model.params.items()}
+    finite_difference_report(model, x, labels)
+    for name, p in model.params.items():
+        assert p._grad is not None, name
+        assert np.array_equal(p._grad, before[name]), name
