@@ -136,7 +136,13 @@ def conv1d_same(x, p: Conv1DParams) -> Variable:
 
     out[t, j] = bias[j] + sum over (ch, tau) of kernels[j, ch, tau] *
     padded_x[t + tau, ch], with width//2 zeros on the left and the remainder
-    on the right.
+    on the right. It is computed as one GEMM per kernel tap (kn2row):
+    out = bias + sum over tau of padded_x[tau:tau+T] @ kernels[:, :, tau].T,
+    on shifted views of the padded input, so no (T, in_channels*width) patch
+    matrix is built. The backward pass runs the same per-tap GEMMs: each
+    tap's kernel gradient is g.T @ padded_x[tau:tau+T], and the input
+    gradient adds g @ kernels[:, :, tau] into rows tau:tau+T of the padded
+    input's gradient.
     """
     x = as_variable(x)
     xd = x.value.data
@@ -147,24 +153,29 @@ def conv1d_same(x, p: Conv1DParams) -> Variable:
         raise ShapeError(f"conv channel mismatch: input has {cin}, kernels expect {p.in_channels}")
     filters, _, width = p.kernels.value.shape
     left = width // 2
+    kd = p.kernels.value.data
 
     padded = np.zeros((t_len + width - 1, cin), dtype=np.float64)
     padded[left:left + t_len] = xd
-    # windows[t, ch, tau] == padded[t + tau, ch]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=0)
-    patches = windows.reshape(t_len, cin * width)
-    kflat = p.kernels.value.data.reshape(filters, cin * width)
-    out = Variable(Tensor._wrap(patches @ kflat.T + p.bias.value.data))
+    out_arr = padded[:t_len] @ kd[:, :, 0].T
+    tap = np.empty_like(out_arr)
+    for tau in range(1, width):
+        out_arr += np.matmul(padded[tau:tau + t_len], kd[:, :, tau].T, out=tap)
+    out_arr += p.bias.value.data
+    out = Variable(Tensor._wrap(out_arr))
 
     if taping():
         kernels, bias = p.kernels, p.bias
         def bw(g):
-            ad._accum(kernels, (g.T @ patches).reshape(filters, cin, width))
-            ad._accum(bias, g.sum(axis=0))
-            dpatches = (g @ kflat).reshape(t_len, cin, width)
+            dk = np.empty((width, filters, cin), dtype=np.float64)
             dpadded = np.zeros_like(padded)
+            tap = np.empty((t_len, cin), dtype=np.float64)
             for tau in range(width):
-                dpadded[tau:tau + t_len] += dpatches[:, :, tau]
+                rows = slice(tau, tau + t_len)
+                np.matmul(g.T, padded[rows], out=dk[tau])
+                dpadded[rows] += np.matmul(g, kd[:, :, tau], out=tap)
+            ad._accum(kernels, dk.transpose(1, 2, 0))
+            ad._accum(bias, g.sum(axis=0))
             ad._accum(x, dpadded[left:left + t_len])
         record(out, (x, kernels, bias), bw)
     return out
@@ -240,6 +251,12 @@ def _stack_params(p: LSTMParams):
     return np.concatenate(arrs[:4]), np.concatenate(arrs[4:8]), np.concatenate(arrs[8:])
 
 
+# Gate order of the LSTM backward pass, as indices into the forward order
+# (i, f, o, g). The permutation is its own inverse, so it also maps a forward
+# gate to its row block in the backward order.
+_BWD_GATES = [0, 1, 3, 2]
+
+
 def _state_vec(v, hidden: int, what: str) -> np.ndarray:
     if v is None:
         return np.zeros(hidden, dtype=np.float64)
@@ -252,9 +269,18 @@ def _state_vec(v, hidden: int, what: str) -> np.ndarray:
 def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
     """Run one recurrent unit over the sequence; returns the hidden states (T, H).
 
-    Per step: i, f, o are sigmoid gates, the candidate is a tanh, the cell is
-    c_t = f_t*c_{t-1} + i_t*g_t and the output is h_t = o_t*tanh(c_t). The
-    initial states default to zeros and receive no gradient.
+    Per step: i, f, o are sigmoid gates, the candidate g is a tanh, the cell
+    is c_t = f_t*c_{t-1} + i_t*g_t and the output is h_t = o_t*tanh(c_t). The
+    initial states default to zeros and receive no gradient. The input GEMM
+    is done once for all steps; the hidden and cell histories are kept in
+    (T+1, H) buffers whose row 0 holds h0 and c0.
+
+    The backward pass first computes every gate-derivative factor for all T
+    at once: g*i(1-i), c_{t-1}*f(1-f) and i(1-g^2) scale the cell gradient,
+    tanh(c)*o(1-o) scales the hidden gradient, and o(1-tanh^2 c) carries the
+    hidden gradient into the cell. Each step of the loop then only adds,
+    scales and makes one (1, 4H) @ (4H, H) product, writing into buffers
+    that exist already.
     """
     x = as_variable(x)
     xd = x.value.data
@@ -263,66 +289,67 @@ def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
     t_len = xd.shape[0]
     hidden = p.hidden
     wx, wh, b = _stack_params(p)
-    h_prev = _state_vec(h0, hidden, "h0")
-    c_prev = _state_vec(c0, hidden, "c0")
 
     pre = xd @ wx.T + b  # (T, 4H), recurrent term added per step
     wh_t = np.ascontiguousarray(wh.T)
     gates = np.empty((t_len, 4 * hidden), dtype=np.float64)
-    cells = np.empty((t_len, hidden), dtype=np.float64)
+    i_s, f_s, o_s, g_s = gates.reshape(t_len, 4, hidden).transpose(1, 0, 2)
+    sig = gates[:, :3 * hidden]
+    hs = np.empty((t_len + 1, hidden), dtype=np.float64)  # hs[t + 1] = h_t
+    cs = np.empty((t_len + 1, hidden), dtype=np.float64)  # cs[t + 1] = c_t
+    hs[0] = _state_vec(h0, hidden, "h0")
+    cs[0] = _state_vec(c0, hidden, "c0")
     tanh_c = np.empty((t_len, hidden), dtype=np.float64)
-    hs = np.empty((t_len, hidden), dtype=np.float64)
-    h_lag = np.empty((t_len, hidden), dtype=np.float64)  # h_{t-1} per step
+    ig = np.empty(hidden, dtype=np.float64)
 
-    h = h_prev
-    c = c_prev.copy()
     for t in range(t_len):
-        h_lag[t] = h
         a = gates[t]
-        np.matmul(h, wh_t, out=a)
+        np.matmul(hs[t], wh_t, out=a)
         a += pre[t]
-        expit(a[:3 * hidden], out=a[:3 * hidden])
-        np.tanh(a[3 * hidden:], out=a[3 * hidden:])
-        c *= a[hidden:2 * hidden]
-        c += a[:hidden] * a[3 * hidden:]
-        cells[t] = c
-        tc = np.tanh(c, out=tanh_c[t])
-        h = np.multiply(a[2 * hidden:3 * hidden], tc, out=hs[t])
+        expit(sig[t], out=sig[t])
+        np.tanh(g_s[t], out=g_s[t])
+        c = np.multiply(f_s[t], cs[t], out=cs[t + 1])
+        c += np.multiply(i_s[t], g_s[t], out=ig)
+        np.multiply(o_s[t], np.tanh(c, out=tanh_c[t]), out=hs[t + 1])
 
-    out = Variable(Tensor._wrap(hs))
+    out = Variable(Tensor._wrap(hs[1:]))
 
     if taping():
         # bind the block variables now: the params object may be re-pointed
         # at other variables by the time backward runs
         block_vars = [var for _, var in p.blocks()]
-        c0_arr = c_prev
         def bw(g):
-            i_s = gates[:, :hidden]
-            f_s = gates[:, hidden:2 * hidden]
-            o_s = gates[:, 2 * hidden:3 * hidden]
-            g_s = gates[:, 3 * hidden:]
+            # the backward pass orders the gates i, f, g, o, so that the three
+            # gates scaled by the cell gradient are one block
+            fac = np.empty((t_len, 4, hidden), dtype=np.float64)
+            fac[:, 0] = g_s * i_s * (1.0 - i_s)
+            fac[:, 1] = cs[:-1] * f_s * (1.0 - f_s)
+            fac[:, 2] = i_s * (1.0 - g_s * g_s)
+            fac[:, 3] = tanh_c * o_s * (1.0 - o_s)
+            h_to_c = o_s * (1.0 - tanh_c * tanh_c)
+            fac_c, fac_h = fac[:, :3], fac[:, 3]
             da = np.empty((t_len, 4 * hidden), dtype=np.float64)
-            dh_next = np.zeros(hidden, dtype=np.float64)
+            da_c, da_h = da.reshape(t_len, 4, hidden)[:, :3], da[:, 3 * hidden:]
+            wh_b, wx_b = (w.reshape(4, hidden, -1)[_BWD_GATES].reshape(4 * hidden, -1) for w in (wh, wx))
+            dh = np.zeros(hidden, dtype=np.float64)
             dc = np.zeros(hidden, dtype=np.float64)
+            tmp = np.empty(hidden, dtype=np.float64)
             for t in range(t_len - 1, -1, -1):
-                dh = g[t] + dh_next
-                dc = dc + dh * o_s[t] * (1.0 - tanh_c[t] ** 2)
-                cp = cells[t - 1] if t > 0 else c0_arr
-                da[t, :hidden] = dc * g_s[t] * i_s[t] * (1.0 - i_s[t])
-                da[t, hidden:2 * hidden] = dc * cp * f_s[t] * (1.0 - f_s[t])
-                da[t, 2 * hidden:3 * hidden] = dh * tanh_c[t] * o_s[t] * (1.0 - o_s[t])
-                da[t, 3 * hidden:] = dc * i_s[t] * (1.0 - g_s[t] ** 2)
-                dh_next = da[t] @ wh
-                dc = dc * f_s[t]
+                dh += g[t]
+                dc += np.multiply(dh, h_to_c[t], out=tmp)
+                np.multiply(fac_c[t], dc, out=da_c[t])
+                np.multiply(fac_h[t], dh, out=da_h[t])
+                np.matmul(da[t], wh_b, out=dh)
+                dc *= f_s[t]
             dwx = da.T @ xd
-            dwh = da.T @ h_lag
+            dwh = da.T @ hs[:-1]
             db = da.sum(axis=0)
-            for k in range(4):
-                rows = slice(k * hidden, (k + 1) * hidden)
+            for k, pos in enumerate(_BWD_GATES):
+                rows = slice(pos * hidden, (pos + 1) * hidden)
                 ad._accum(block_vars[k], dwx[rows])        # W_x*
                 ad._accum(block_vars[4 + k], dwh[rows])    # W_h*
                 ad._accum(block_vars[8 + k], db[rows])     # b_*
-            ad._accum(x, da @ wx)
+            ad._accum(x, da @ wx_b)
         record(out, (x,) + tuple(block_vars), bw)
     return out
 

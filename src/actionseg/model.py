@@ -132,6 +132,13 @@ class Stage:
         swapped = dataclasses.replace(self.blocks[prefix], **{field: var})
         return dataclasses.replace(self, blocks={**self.blocks, prefix: swapped})
 
+    def shadow(self) -> "Stage":
+        """A copy of this stage whose parameters are fresh variables over the same values."""
+        return dataclasses.replace(self, blocks={
+            prefix: dataclasses.replace(block, **{f.name: Variable(getattr(block, f.name).value)
+                                                  for f in dataclasses.fields(block)})
+            for prefix, block in self.blocks.items()})
+
     def __call__(self, v, training: bool = False, rng=None) -> Variable:
         return self.forward(v, training, rng, *self.blocks.values())
 
@@ -143,8 +150,8 @@ class Model:
     order, which is the checkpoint layout. Parameters are mutated only by the
     optimizer between passes, so inference over shared read-only parameters
     is safe from concurrent callers. That holds only because the tape stack
-    is per thread and the gradient check swaps parameters into copies of a
-    stage, never into the model.
+    is per thread and the gradient check runs on shadow copies of the
+    stages, whose variables are not the model's.
     """
 
     def __init__(self, config: ModelConfig, table: list[Stage]):

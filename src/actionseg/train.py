@@ -38,12 +38,18 @@ LOG_GUARD = 1e-12
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when an epoch produces a non-finite loss."""
+    """Raised when a training step produces a non-finite loss or gradient.
 
-    def __init__(self, epoch: int, sample_id: str):
+    ``block`` names the first parameter block, in ``model.params`` order,
+    whose gradient is not finite; it is None when the loss itself is not.
+    """
+
+    def __init__(self, epoch: int, sample_id: str, *, block: str | None = None):
         self.epoch = epoch
         self.sample_id = sample_id
-        super().__init__(f"non-finite loss at epoch {epoch}, sequence {sample_id!r}")
+        self.block = block
+        what = "loss" if block is None else f"gradient of {block}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, sequence {sample_id!r}")
 
 
 def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
@@ -201,8 +207,10 @@ def train(model: Model, train_set, val_set, epochs: int, seed: int = 0, lr: floa
     update per sequence, computed from a training-mode forward pass. The
     reported training accuracy comes from those same training-mode outputs.
     A non-finite loss aborts with :class:`TrainingDiverged` naming the epoch
-    and sequence. ``early_stop_train_acc`` optionally ends training once the
-    epoch's training accuracy reaches the given percentage.
+    and sequence; a non-finite gradient aborts before the update, also naming
+    the first parameter block whose gradient is not finite.
+    ``early_stop_train_acc`` optionally ends training once the epoch's
+    training accuracy reaches the given percentage.
     """
     started = time.perf_counter()
     ss = np.random.SeedSequence(seed)
@@ -232,11 +240,14 @@ def train(model: Model, train_set, val_set, epochs: int, seed: int = 0, lr: floa
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(epoch, sample.id)
             tape.backward(loss)
-            with np.errstate(all="ignore"):
-                adam_step(params, [p._grad if p._grad is not None else np.zeros(p.value.shape)
-                                   for p in params], state)
+            grads = [p._grad if p._grad is not None else np.zeros(p.value.shape) for p in params]
             for p in params:
                 p.zero_grad()
+            bad = next((name for name, g in zip(model.params, grads) if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise TrainingDiverged(epoch, sample.id, block=bad)
+            with np.errstate(all="ignore"):
+                adam_step(params, grads, state)
             loss_sum += loss_value
             hit += int(np.count_nonzero(probs.value.data.argmax(axis=1) == np.asarray(sample.labels)))
             total += len(sample.labels)
@@ -260,37 +271,26 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
 
     Each block is checked coordinate-by-coordinate against central
     differences with the model's other parameters held fixed, in
-    ``model.params`` (stage table) order. Stage outputs upstream of the
-    owning stage do not depend on the block, so they are computed once; each
-    probe reruns from a copy of the owning stage built around the probe
-    variable (``Stage.swap``). The model's parameters and blocks are never
-    replaced, and each parameter's accumulated gradient is put back as it
-    was before the report.
+    ``model.params`` (stage table) order. The report runs on a shadow of the
+    stage table (``Stage.shadow``): the same read-only values under fresh
+    variables, so its taped passes never touch the model's variables or
+    their gradients. Stage outputs upstream of the owning stage do not
+    depend on the block, so they are computed once; each probe reruns from a
+    copy of the owning stage built around the probe variable (``Stage.swap``).
     """
+    table = [stage.shadow() for stage in model.table]
     arr, t_len = model.prepare_input(x)
     inputs = [Tensor._wrap(arr)]
-    for stage in model.table:
+    for stage in table:
         inputs.append(stage(Variable(inputs[-1])).value)
 
     def loss_from(s, name, v):
-        u = model.table[s].swap(name, v)(Variable(inputs[s]))
-        for stage in model.table[s + 1:]:
+        u = table[s].swap(name, v)(Variable(inputs[s]))
+        for stage in table[s + 1:]:
             u = stage(u)
         if u.value.shape[0] != t_len:
             u = slice_axis(u, 0, 0, t_len)
         return cross_entropy_loss(u, labels)
 
-    # the taped passes accumulate onto the model's own variables: start them
-    # from no gradient, so that the caller's arrays are never added to
-    saved = [(p, p._grad) for p in model.params.values()]
-    for p, _ in saved:
-        p.zero_grad()
-    rows = []
-    try:
-        for s, stage in enumerate(model.table):
-            for name, var in stage.params():
-                rows.append((name, finite_diff_check(partial(loss_from, s, name), var.value, eps)))
-    finally:
-        for p, g in saved:
-            p._grad = g
-    return rows
+    return [(name, finite_diff_check(partial(loss_from, s, name), var.value, eps))
+            for s, stage in enumerate(table) for name, var in stage.params()]

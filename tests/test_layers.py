@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,50 @@ def test_conv_even_kernel_padding_split():
     p = conv_params(1, 1, 2, kernels=np.ones((1, 1, 2)), bias=np.zeros(1))
     out = L.conv1d_same(Variable([[1.0], [2.0], [4.0]]), p)
     assert out.value.data.ravel().tolist() == [1.0, 3.0, 6.0]
+
+
+def _conv_reference(x, kernels, bias):
+    # out[t, j] = bias[j] + sum over (ch, tau) of kernels[j, ch, tau] * x[t + tau - width//2, ch]
+    t_len, cin = x.shape
+    filters, _, width = kernels.shape
+    out = np.empty((t_len, filters))
+    for t in range(t_len):
+        for j in range(filters):
+            acc = bias[j]
+            for ch in range(cin):
+                for tau in range(width):
+                    src = t + tau - width // 2
+                    if 0 <= src < t_len:
+                        acc += kernels[j, ch, tau] * x[src, ch]
+            out[t, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("t_len, width", [(9, 1), (9, 2), (9, 3), (12, 30), (40, 30)])
+def test_conv_matches_naive_loop_reference(t_len, width):
+    rng = np.random.default_rng(100 + width + t_len)
+    x = rng.normal(size=(t_len, 3))
+    kernels = rng.normal(size=(4, 3, width))
+    bias = rng.normal(size=4)
+    out = L.conv1d_same(Variable(x), conv_params(4, 3, width, kernels=kernels, bias=bias))
+    assert np.allclose(out.value.data, _conv_reference(x, kernels, bias), rtol=0.0, atol=1e-12)
+
+
+def test_conv_taped_memory_stays_below_a_patch_matrix():
+    t_len, channels, width = 2048, 96, 30
+    rng = np.random.default_rng(101)
+    x = Variable(rng.normal(size=(t_len, channels)))
+    p = conv_params(channels, channels, width, rng=rng)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            loss = sum_all(L.conv1d_same(x, p))
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (T, C_in * width) patch matrix alone would take 47 MB
+    assert peak < 16e6, peak / 1e6
 
 
 # normalized rectifier
@@ -298,6 +343,22 @@ def test_conv_gradients_match_finite_differences():
     assert _fd(wrt_b, b0) <= 1e-6
 
 
+@pytest.mark.parametrize("t_len, width", [(6, 1), (5, 9)])
+def test_conv_gradients_match_finite_differences_at_extreme_widths(t_len, width):
+    rng = np.random.default_rng(60 + width)
+    x0 = rng.normal(size=(t_len, 3))
+    k0 = rng.normal(size=(2, 3, width)) * 0.5
+    b0 = rng.normal(size=2) * 0.2
+    xvar = Variable(x0)
+
+    def loss(x, k, b):
+        out = L.conv1d_same(x, L.Conv1DParams(k, b))
+        return sum_all(ad.mul(out, out))
+    assert _fd(lambda v: loss(v, Variable(k0), Variable(b0)), x0) <= 1e-6
+    assert _fd(lambda v: loss(xvar, v, Variable(b0)), k0) <= 1e-6
+    assert _fd(lambda v: loss(xvar, Variable(k0), v), b0) <= 1e-6
+
+
 def test_norm_relu_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     x0 = rng.normal(size=(6, 4))
@@ -334,6 +395,28 @@ def test_lstm_gradients_match_finite_differences_every_block():
             fields = dict(p.blocks())
             fields[name] = v
             out = L.lstm_forward(xvar, L.LSTMParams(**fields))
+            return sum_all(ad.mul(out, out))
+        assert _fd(wrt_block, var.value.data) <= 1e-5, name
+
+
+def test_lstm_gradients_match_finite_differences_from_nonzero_initial_states():
+    # the t=0 row of the backward pass reads c0 from the cell history
+    rng = np.random.default_rng(51)
+    x0 = rng.normal(size=(5, 2))
+    p = lstm_params(3, 2, np.random.default_rng(52))
+    h0, c0 = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+
+    def wrt_x(v):
+        out = L.lstm_forward(v, p, h0=h0, c0=c0)
+        return sum_all(ad.mul(out, out))
+    assert _fd(wrt_x, x0) <= 1e-5
+
+    xvar = Variable(x0)
+    for name, var in p.blocks():
+        def wrt_block(v, name=name):
+            fields = dict(p.blocks())
+            fields[name] = v
+            out = L.lstm_forward(xvar, L.LSTMParams(**fields), h0=h0, c0=c0)
             return sum_all(ad.mul(out, out))
         assert _fd(wrt_block, var.value.data) <= 1e-5, name
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 from types import MappingProxyType
 
@@ -250,3 +251,57 @@ def test_finite_difference_report_keeps_the_callers_gradients():
     for name, p in model.params.items():
         assert p._grad is not None, name
         assert np.array_equal(p._grad, before[name]), name
+
+
+def test_finite_difference_report_never_touches_the_models_variables(monkeypatch):
+    # the package exports the function ``train``, which hides the module attribute
+    train_mod = importlib.import_module("actionseg.train")
+    model = build(ModelConfig(input_dim=2, num_classes=2, variant="conv_only", k=1, conv_len=1,
+                              hidden=1, dropout_conv=0.0, dropout_lstm=0.0, seed=7))
+    real = train_mod.finite_diff_check
+    checked = []
+
+    def untouched(when):
+        held = [name for name, p in model.params.items() if p._grad is not None]
+        assert not held, f"{held} hold a gradient {when}"
+
+    def spy(f, x, eps=1e-5):
+        untouched(f"before the check of block {len(checked)}")
+        err = real(f, x, eps)
+        untouched(f"after the check of block {len(checked)}")
+        checked.append(x.shape)
+        return err
+
+    monkeypatch.setattr(train_mod, "finite_diff_check", spy)
+    rows = finite_difference_report(model, RNG.normal(size=(4, 2)), [0, 1, 0, 1])
+    assert [name for name, _ in rows] == list(model.params)
+    assert checked == [p.value.shape for p in model.params.values()]
+
+
+def test_divergence_names_the_first_non_finite_gradient_block(monkeypatch):
+    layers_mod = importlib.import_module("actionseg.layers")
+    ds = tiny_dataset()
+    m = tiny_model("conv_only", seed=8)
+    planted = m.params["dec2.conv.kernels"]
+    real_conv = layers_mod.conv1d_same
+
+    def inf_kernel_gradient_conv(x, p):
+        out = real_conv(x, p)
+        rule = out._backward
+        if rule is not None and p.kernels is planted:
+            def planted_rule(g):
+                rule(g)
+                p.kernels._grad[0, 0, 0] = np.inf
+            out._backward = planted_rule
+        return out
+
+    monkeypatch.setattr(layers_mod, "conv1d_same", inf_kernel_gradient_conv)
+    before = {name: p.value.data.copy() for name, p in m.params.items()}
+    with pytest.raises(TrainingDiverged) as err:
+        train(m, ds.split("train"), ds.split("train"), epochs=2, seed=8)
+    assert err.value.block == "dec2.conv.kernels"
+    assert (err.value.epoch, err.value.sample_id) == (1, "train_0000")
+    assert "dec2.conv.kernels" in str(err.value)
+    for name, p in m.params.items():
+        assert np.array_equal(p.value.data, before[name]), name
+        assert p._grad is None, name
