@@ -321,6 +321,11 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     of its argument (any internal randomness has to be fixed). The relative
     error per coordinate is |analytic - numeric| / max(|analytic|, |numeric|,
     1e-8); the maximum over coordinates is returned.
+
+    Every evaluation receives its own Tensor object, so a cache keyed on a
+    tensor's identity (``Conv1DParams.merged_kernels``) never sees one
+    object with two values. The probes' tensors share one read-only view of
+    a single buffer, so no data is copied per probe.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
@@ -334,19 +339,27 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     tape.backward(out)
     analytic = (np.zeros(x.shape) if vx._grad is None else vx._grad).ravel()
 
-    # One reusable probe buffer: with no tape active nothing retains a
-    # reference to it between evaluations, so mutating in place is safe.
+    # One reusable probe buffer: with no tape active nothing reads it again
+    # after an evaluation, so mutating it in place is safe. A cache keyed on
+    # tensor identity may still hold an earlier probe's tensor, but every
+    # evaluation gets a new one, so such a cache is never hit by a probe.
     work = x.data.copy()
     flat = work.ravel()
-    probe = object.__new__(Tensor)
-    probe.data = work
+    view = work.view()
+    view.flags.writeable = False
+
+    def evaluate() -> float:
+        probe = object.__new__(Tensor)
+        probe.data = view
+        return f(Variable(probe)).value.item()
+
     numeric = np.empty(flat.size, dtype=np.float64)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        fu = f(Variable(probe)).value.item()
+        fu = evaluate()
         flat[i] = orig - eps
-        fd = f(Variable(probe)).value.item()
+        fd = evaluate()
         flat[i] = orig
         numeric[i] = (fu - fd) / (2.0 * eps)
 

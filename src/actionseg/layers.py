@@ -15,6 +15,7 @@ maximum) route their gradient to the earliest maximal index.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -29,6 +30,7 @@ __all__ = [
     "LSTMParams",
     "DenseParams",
     "conv1d_same",
+    "upsample_conv1d_same",
     "norm_relu",
     "max_pool_time",
     "upsample_repeat",
@@ -45,7 +47,16 @@ NORM_RELU_EPS = 1e-5
 
 @dataclass
 class Conv1DParams:
-    """A bank of 1D filters: kernels (filters, in_channels, width), bias (filters,)."""
+    """A bank of 1D filters: kernels (filters, in_channels, width), bias (filters,).
+
+    :meth:`merged_kernels` caches the kernels that
+    :func:`upsample_conv1d_same` runs on, keyed on the identity of the
+    kernel tensor. Tensors are immutable, so the cache is current exactly
+    while ``kernels.value`` is the tensor it was built from: ``adam_step``
+    installs a new tensor, so training merges once per step, and the copies
+    that ``dataclasses.replace`` makes (``Stage.swap``, ``Stage.shadow``)
+    start with no cache.
+    """
 
     kernels: Variable
     bias: Variable
@@ -69,6 +80,25 @@ class Conv1DParams:
     @property
     def width(self) -> int:
         return self.kernels.value.shape[2]
+
+    def merged_kernels(self) -> np.ndarray:
+        """Read-only (offsets, 2*filters, in_channels): the taps summed per input offset.
+
+        Row block r of entry d sums the taps through which output phase r of
+        an upsampled convolution reads input offset d (:func:`_phase_taps`).
+        """
+        kt = self.kernels.value
+        cached = self.__dict__.get("_merged")
+        if cached is not None and cached[0] is kt:
+            return cached[1]
+        filters, cin, width = kt.shape
+        taps, _ = _phase_taps(width)
+        merged = (taps @ kt.data.reshape(filters * cin, width).T).reshape(-1, 2 * filters, cin)
+        merged.flags.writeable = False
+        # the key is held, so its id cannot be reused; one assignment, so a
+        # concurrent caller sees either the old pair or the new one
+        self._merged = (kt, merged)
+        return merged
 
 
 @dataclass
@@ -142,15 +172,11 @@ def conv1d_same(x, p: Conv1DParams) -> Variable:
     matrix is built. The backward pass runs the same per-tap GEMMs: each
     tap's kernel gradient is g.T @ padded_x[tau:tau+T], and the input
     gradient adds g @ kernels[:, :, tau] into rows tau:tau+T of the padded
-    input's gradient.
+    input's gradient. An input that is a leaf and not trainable gets no
+    gradient, so its GEMMs are skipped.
     """
-    x = as_variable(x)
-    xd = x.value.data
-    if xd.ndim != 2:
-        raise ShapeError(f"conv input must be (frames, channels), got shape {x.value.shape}")
+    x, xd = _conv_input(x, p)
     t_len, cin = xd.shape
-    if cin != p.in_channels:
-        raise ShapeError(f"conv channel mismatch: input has {cin}, kernels expect {p.in_channels}")
     filters, _, width = p.kernels.value.shape
     left = width // 2
     kd = p.kernels.value.data
@@ -166,17 +192,113 @@ def conv1d_same(x, p: Conv1DParams) -> Variable:
 
     if taping():
         kernels, bias = p.kernels, p.bias
+        wants_dx = _wants_grad(x)
         def bw(g):
             dk = np.empty((width, filters, cin), dtype=np.float64)
-            dpadded = np.zeros_like(padded)
+            dpadded = np.zeros_like(padded) if wants_dx else None
             tap = np.empty((t_len, cin), dtype=np.float64)
             for tau in range(width):
                 rows = slice(tau, tau + t_len)
                 np.matmul(g.T, padded[rows], out=dk[tau])
-                dpadded[rows] += np.matmul(g, kd[:, :, tau], out=tap)
+                if wants_dx:
+                    dpadded[rows] += np.matmul(g, kd[:, :, tau], out=tap)
             ad._accum(kernels, dk.transpose(1, 2, 0))
             ad._accum(bias, g.sum(axis=0))
-            ad._accum(x, dpadded[left:left + t_len])
+            if wants_dx:
+                ad._accum(x, dpadded[left:left + t_len])
+        record(out, (x, kernels, bias), bw)
+    return out
+
+
+def _conv_input(x, p: Conv1DParams) -> tuple[Variable, np.ndarray]:
+    x = as_variable(x)
+    xd = x.value.data
+    if xd.ndim != 2:
+        raise ShapeError(f"conv input must be (frames, channels), got shape {x.value.shape}")
+    if xd.shape[1] != p.in_channels:
+        raise ShapeError(f"conv channel mismatch: input has {xd.shape[1]}, kernels expect {p.in_channels}")
+    return x, xd
+
+
+def _wants_grad(x: Variable) -> bool:
+    # a leaf that is not trainable reports no gradient (see Variable), so a
+    # convolution skips the GEMMs of its input gradient
+    return x.trainable or bool(x.parents)
+
+
+@lru_cache(maxsize=None)
+def _phase_taps(width: int) -> tuple[np.ndarray, int]:
+    """0/1 map (2*offsets, width) from kernel taps to (input offset, output phase), and its padding.
+
+    Upsampling by repetition, then a ``conv1d_same`` of this width, makes
+    output frame 2m+r (phase r) read input frame m + d - left through tap
+    tau exactly when d = (r + tau - width//2) // 2 + left, where ``left``,
+    the second value returned, is the number of zero frames that pad the
+    input on the left. Row 2d+r marks the taps of offset d and phase r.
+    Every tap feeds each phase once, so the map has two ones per column.
+    """
+    half = width // 2
+    left = (half + 1) // 2
+    taps = np.zeros(((width - half) // 2 + left + 1, 2, width), dtype=np.float64)
+    for r in (0, 1):
+        for tau in range(width):
+            taps[(r + tau - half) // 2 + left, r, tau] = 1.0
+    taps.flags.writeable = False
+    return taps.reshape(-1, width), left
+
+
+def upsample_conv1d_same(x, p: Conv1DParams) -> Variable:
+    """``conv1d_same(upsample_repeat(x), p)``, computed at the input rate.
+
+    Output frames 2m and 2m+1 read only input frames m+d, so the taps that
+    land on the same input frame are summed first, into
+    ``p.merged_kernels()`` (offsets, 2*filters, in_channels). One GEMM per
+    offset, padded_x[d:d+S] @ merged[d].T, then gives both output phases side
+    by side: an (S, 2*filters) result whose row-major reshape is the
+    (2S, filters) output, with no copy. Width 30 takes 16 GEMMs on S rows
+    instead of 30 on 2S rows, and the repeated input is never built. The
+    backward pass runs the same per-offset GEMMs (merged-kernel gradient
+    g2.T @ padded_x[d:d+S], input gradient g2 @ merged[d] with g2 the
+    (S, 2*filters) view of the output gradient) and folds the merged-kernel
+    gradient back onto the taps with one GEMM of the phase map. As in
+    :func:`conv1d_same`, an input that is a leaf and not trainable gets no
+    gradient.
+    """
+    x, xd = _conv_input(x, p)
+    s_len, cin = xd.shape
+    filters, _, width = p.kernels.value.shape
+    taps, left = _phase_taps(width)
+    merged = p.merged_kernels()
+    offsets = merged.shape[0]
+
+    padded = np.zeros((s_len + offsets - 1, cin), dtype=np.float64)
+    padded[left:left + s_len] = xd
+    out_arr = padded[:s_len] @ merged[0].T
+    tap = np.empty_like(out_arr)
+    for d in range(1, offsets):
+        out_arr += np.matmul(padded[d:d + s_len], merged[d].T, out=tap)
+    out_arr = out_arr.reshape(2 * s_len, filters)
+    out_arr += p.bias.value.data
+    out = Variable(Tensor._wrap(out_arr))
+
+    if taping():
+        kernels, bias = p.kernels, p.bias
+        wants_dx = _wants_grad(x)
+        def bw(g):
+            g2 = g.reshape(s_len, 2 * filters)
+            dm = np.empty_like(merged)
+            dpadded = np.zeros_like(padded) if wants_dx else None
+            tap = np.empty((s_len, cin), dtype=np.float64)
+            for d in range(offsets):
+                rows = slice(d, d + s_len)
+                np.matmul(g2.T, padded[rows], out=dm[d])
+                if wants_dx:
+                    dpadded[rows] += np.matmul(g2, merged[d], out=tap)
+            dk = dm.reshape(2 * offsets, filters * cin).T @ taps
+            ad._accum(kernels, dk.reshape(filters, cin, width))
+            ad._accum(bias, g.sum(axis=0))
+            if wants_dx:
+                ad._accum(x, dpadded[left:left + s_len])
         record(out, (x, kernels, bias), bw)
     return out
 

@@ -17,6 +17,12 @@ All variants end with a per-frame softmax read-out. Inputs whose length is
 not a multiple of 2**k are padded by repeating the final frame and outputs
 are trimmed back, so the output always has one row per input frame.
 
+A convolutional decoder layer's upsample and convolution run as one op,
+:func:`~actionseg.layers.upsample_conv1d_same`, which convolves the
+un-repeated input with merged kernels; the Bi-LSTM decoder layers repeat
+their input with ``upsample_repeat``. The layer table still lists the
+upsample and the convolution as two rows.
+
 Each variant is written once, as the ordered stage table that :func:`build`
 makes (``Model.table``, one :class:`Stage` per wiring layer). Parameter names
 and order, :meth:`Model.stages`, :func:`describe` and the gradient checker's
@@ -252,7 +258,8 @@ def build(config: ModelConfig) -> Model:
         return ly.max_pool_time(v)
 
     def decode_conv(v, training, rng, conv):
-        v = ly.norm_relu(ly.conv1d_same(ly.upsample_repeat(v), conv))
+        # upsample -> conv1d_same as one op that convolves at the input rate
+        v = ly.norm_relu(ly.upsample_conv1d_same(v, conv))
         return ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
 
     def decode_lstm(v, training, rng, fwd, bwd):

@@ -114,7 +114,9 @@ def adam_step(params, grads, state: AdamState):
     """One bias-corrected moment update applied to every parameter in place.
 
     m and v track the gradient and squared gradient with decay beta1/beta2;
-    each parameter moves by -lr * m_hat / (sqrt(v_hat) + eps).
+    each parameter moves by -lr * m_hat / (sqrt(v_hat) + eps). The moments
+    are updated in place, by the same operations in the same order as that
+    formula, so the result is bit-identical to computing it afresh.
     """
     params = list(params)
     grads = [g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64) for g in grads]
@@ -128,16 +130,24 @@ def adam_step(params, grads, state: AdamState):
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.value.shape}")
         m = state.m.get(p.vid)
         if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
+            m = state.m[p.vid] = np.zeros_like(g)
+            v = state.v[p.vid] = np.zeros_like(g)
         else:
             v = state.v[p.vid]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.m[p.vid] = m
-        state.v[p.vid] = v
-        step = state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
-        p.value = Tensor._wrap(p.value.data - step)
+        tmp = np.multiply(1.0 - state.beta1, g)
+        m *= state.beta1
+        m += tmp
+        np.multiply(1.0 - state.beta2, g, out=tmp)
+        tmp *= g
+        v *= state.beta2
+        v += tmp
+        step = np.divide(m, correction1)
+        step *= state.lr
+        np.divide(v, correction2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step /= tmp
+        p.value = Tensor._wrap(np.subtract(p.value.data, step, out=step))
     return params, state
 
 

@@ -143,6 +143,18 @@ def test_finite_diff_cubic():
     assert err <= 1e-6
 
 
+def test_finite_diff_gives_every_evaluation_its_own_tensor():
+    seen = []  # holding every tensor keeps its id from being reused
+
+    def f(v):
+        seen.append(v.value)
+        return ad.sum_all(ad.mul(v, v))
+    finite_diff_check(f, Tensor([1.0, -2.0, 3.0]), eps=1e-5)
+    assert len(seen) == 1 + 2 * 3
+    assert len({id(t) for t in seen}) == len(seen)
+    assert not any(t.data.flags.writeable for t in seen)
+
+
 def test_finite_diff_rejects_non_scalar():
     with pytest.raises(ContractError):
         finite_diff_check(lambda v: ad.mul(v, v), Tensor([1.0, 2.0]))

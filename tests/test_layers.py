@@ -3,12 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from actionseg import autodiff as ad
 from actionseg import layers as L
 from actionseg.autodiff import Variable, finite_diff_check, sum_all
 from actionseg.errors import ContractError, ShapeError
+from actionseg.model import ModelConfig, build
 from actionseg.tensor import Tensor
+from actionseg.train import AdamState, adam_step
 
 RNG = np.random.default_rng(20)
 
@@ -122,6 +126,93 @@ def test_conv_taped_memory_stays_below_a_patch_matrix():
         tracemalloc.stop()
     # a (T, C_in * width) patch matrix alone would take 47 MB
     assert peak < 16e6, peak / 1e6
+
+
+@pytest.mark.parametrize("op", [L.conv1d_same, L.upsample_conv1d_same])
+def test_conv_gives_no_input_gradient_to_a_leaf_that_is_not_trainable(op):
+    rng = np.random.default_rng(102)
+    x0 = rng.normal(size=(6, 3))
+    k0 = rng.normal(size=(2, 3, 4))
+    b0 = rng.normal(size=2)
+    grads = {}
+    for trainable in (False, True):
+        x = Variable(x0, trainable=trainable)
+        p = conv_params(2, 3, 4, kernels=k0, bias=b0)
+        with ad.Tape() as tape:
+            out = op(x, p)
+            loss = sum_all(ad.mul(out, out))
+        tape.backward(loss)
+        grads[trainable] = (x._grad, p.kernels._grad, p.bias._grad)
+    assert grads[False][0] is None
+    assert grads[True][0] is not None
+    assert np.array_equal(grads[False][1], grads[True][1])
+    assert np.array_equal(grads[False][2], grads[True][2])
+
+
+# upsampling convolution
+
+
+@given(s_len=st.integers(1, 12), channels=st.integers(1, 5), filters=st.integers(1, 5),
+       width=st.integers(1, 31), seed=st.integers(0, 2 ** 32 - 1))
+@example(s_len=1, channels=2, filters=3, width=30, seed=0)
+@example(s_len=3, channels=1, filters=1, width=2, seed=1)
+def test_upsample_conv_equals_conv_of_the_repeated_input(s_len, channels, filters, width, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(s_len, channels))
+    p = conv_params(filters, channels, width, rng=rng)
+    w = rng.normal(size=(2 * s_len, filters))
+    results = []
+    for op in (lambda v: L.upsample_conv1d_same(v, p),
+               lambda v: L.conv1d_same(L.upsample_repeat(v), p)):
+        x = Variable(x0, trainable=True)
+        with ad.Tape() as tape:
+            out = op(x)
+            loss = sum_all(ad.mul(out, Variable(w)))
+        tape.backward(loss)
+        results.append([out.value.data, x._grad, p.kernels._grad, p.bias._grad])
+        p.kernels.zero_grad()
+        p.bias.zero_grad()
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (got, want)
+
+
+def test_upsample_conv_checks_shapes():
+    p = conv_params(2, 3, 4)
+    with pytest.raises(ShapeError):
+        L.upsample_conv1d_same(Variable(np.ones((4, 2))), p)
+    with pytest.raises(ShapeError):
+        L.upsample_conv1d_same(Variable(np.ones(4)), p)
+
+
+def test_merged_kernels_follow_the_kernel_tensor():
+    model = build(ModelConfig(input_dim=3, num_classes=2, variant="conv_only", k=1, conv_len=5,
+                              seed=3))
+    stage = model.table[1]
+    p = stage.blocks["dec1.conv"]
+    x = Variable(np.random.default_rng(103).normal(size=(4, p.in_channels)))
+
+    def matches_reference(params):
+        got = L.upsample_conv1d_same(x, params).value.data
+        want = L.conv1d_same(L.upsample_repeat(x), params).value.data
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    first = p.merged_kernels()
+    assert not first.flags.writeable
+    assert p.merged_kernels() is first
+    adam_step([p.kernels], [np.ones(p.kernels.shape)], AdamState(lr=0.1))
+    second = p.merged_kernels()
+    assert second is not first and not np.array_equal(second, first)
+    assert matches_reference(p)
+
+    for copy in (stage.swap("dec1.conv.kernels", Variable(p.kernels.value)), stage.shadow()):
+        q = copy.blocks["dec1.conv"]
+        assert q is not p
+        assert q.merged_kernels() is not second
+        assert np.array_equal(q.merged_kernels(), second)
+    doubled = stage.swap("dec1.conv.kernels", Variable(2.0 * p.kernels.value.data)).blocks["dec1.conv"]
+    assert matches_reference(doubled)
+    assert p.merged_kernels() is second
 
 
 # normalized rectifier
@@ -353,6 +444,22 @@ def test_conv_gradients_match_finite_differences_at_extreme_widths(t_len, width)
 
     def loss(x, k, b):
         out = L.conv1d_same(x, L.Conv1DParams(k, b))
+        return sum_all(ad.mul(out, out))
+    assert _fd(lambda v: loss(v, Variable(k0), Variable(b0)), x0) <= 1e-6
+    assert _fd(lambda v: loss(xvar, v, Variable(b0)), k0) <= 1e-6
+    assert _fd(lambda v: loss(xvar, Variable(k0), v), b0) <= 1e-6
+
+
+@pytest.mark.parametrize("s_len, width", [(5, 1), (4, 2), (6, 3), (7, 30)])
+def test_upsample_conv_gradients_match_finite_differences(s_len, width):
+    rng = np.random.default_rng(80 + width)
+    x0 = rng.normal(size=(s_len, 3))
+    k0 = rng.normal(size=(2, 3, width)) * 0.5
+    b0 = rng.normal(size=2) * 0.2
+    xvar = Variable(x0)
+
+    def loss(x, k, b):
+        out = L.upsample_conv1d_same(x, L.Conv1DParams(k, b))
         return sum_all(ad.mul(out, out))
     assert _fd(lambda v: loss(v, Variable(k0), Variable(b0)), x0) <= 1e-6
     assert _fd(lambda v: loss(xvar, v, Variable(b0)), k0) <= 1e-6

@@ -129,6 +129,25 @@ def test_adam_matches_reference_recurrence():
         assert np.allclose(p.value.data, ref, atol=1e-14)
 
 
+def test_adam_is_bit_identical_to_the_reference_recurrence():
+    rng = np.random.default_rng(72)
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    theta = rng.normal(size=(3, 2))
+    p = Variable(theta.copy(), trainable=True)
+    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+
+    ref = theta.copy()
+    m = np.zeros_like(ref)
+    v = np.zeros_like(ref)
+    for t in range(1, 8):
+        g = rng.normal(size=(3, 2))
+        adam_step([p], [g.copy()], state)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        ref = ref - lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+        assert np.array_equal(p.value.data, ref), t
+
+
 # prediction
 
 
@@ -283,7 +302,8 @@ def test_divergence_names_the_first_non_finite_gradient_block(monkeypatch):
     ds = tiny_dataset()
     m = tiny_model("conv_only", seed=8)
     planted = m.params["dec2.conv.kernels"]
-    real_conv = layers_mod.conv1d_same
+    # a convolutional decoder layer upsamples and convolves in one op
+    real_conv = layers_mod.upsample_conv1d_same
 
     def inf_kernel_gradient_conv(x, p):
         out = real_conv(x, p)
@@ -295,7 +315,7 @@ def test_divergence_names_the_first_non_finite_gradient_block(monkeypatch):
             out._backward = planted_rule
         return out
 
-    monkeypatch.setattr(layers_mod, "conv1d_same", inf_kernel_gradient_conv)
+    monkeypatch.setattr(layers_mod, "upsample_conv1d_same", inf_kernel_gradient_conv)
     before = {name: p.value.data.copy() for name, p in m.params.items()}
     with pytest.raises(TrainingDiverged) as err:
         train(m, ds.split("train"), ds.split("train"), epochs=2, seed=8)
