@@ -25,10 +25,9 @@ with tape:
     x = Variable([1.0, 2.0, 3.0], trainable=True)
     y = ad.mul(x, x)            # y_i = x_i^2
     loss = ad.sum_all(y)        # sum of squares
-grads = tape.backward(loss)
+tape.backward(loss)
 print("loss =", loss.value.item())
 print("d loss / d x =", x.grad.tolist(), "(expected 2*x)")
-print("gradient map keys:", sorted(grads))
 
 print()
 print("== gradients accumulate on fan-out ==")

@@ -8,7 +8,8 @@ epoch with frame accuracy, segmental edit score, and overlap F1.
 
 import numpy as np
 
-from actionseg import ModelConfig, SynthConfig, build, evaluate, predict, synth_generate, train
+from actionseg import ModelConfig, SynthConfig, build, evaluate, predict, synth_generate
+from actionseg.train import train
 
 cfg = SynthConfig(
     num_classes=4,

@@ -10,7 +10,8 @@ near chance there while the recurrent decoder resolves them.
 
 import numpy as np
 
-from actionseg import ModelConfig, SynthConfig, build, frame_local_ceiling, predict, synth_generate, train
+from actionseg import ModelConfig, SynthConfig, build, frame_local_ceiling, predict, synth_generate
+from actionseg.train import train
 
 cfg = SynthConfig(
     num_classes=5,

@@ -19,7 +19,7 @@ from .model import (VARIANTS, Model, ModelConfig, build, describe, format_descri
                     load_checkpoint, save_checkpoint)
 from .tensor import Tensor
 from .train import (AdamState, TrainReport, TrainingDiverged, adam_step, cross_entropy_loss,
-                    finite_difference_report, predict, train)
+                    finite_difference_report, predict)
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,6 @@ __all__ = [
     "load_checkpoint", "save_checkpoint",
     "Tensor",
     "AdamState", "TrainReport", "TrainingDiverged", "adam_step", "cross_entropy_loss",
-    "finite_difference_report", "predict", "train",
+    "finite_difference_report", "predict",
     "__version__",
 ]

@@ -62,7 +62,7 @@ class Variable:
     """A value plus its accumulated gradient and, while taping, a backward rule.
 
     Leaf variables (``parents == ()``) carry data into the graph; mark them
-    ``trainable`` to have :meth:`Tape.backward` report their gradients.
+    ``trainable`` to have :meth:`Tape.backward` accumulate their gradients.
     """
 
     __slots__ = ("value", "vid", "name", "trainable", "parents", "_backward", "_grad")
@@ -99,7 +99,6 @@ class Tape:
 
     def __init__(self):
         self.ops: list[Variable] = []
-        self._leaves: dict[int, Variable] = {}
 
     def __enter__(self) -> "Tape":
         _TAPES.tapes.append(self)
@@ -108,13 +107,13 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _TAPES.tapes.pop()
 
-    def backward(self, loss: Variable) -> dict[int, Tensor]:
-        """Propagate d(loss) to every node; returns {vid: grad} for trainable leaves.
+    def backward(self, loss: Variable) -> None:
+        """Propagate d(loss) to every node, accumulating into each ``_grad``.
 
-        ``loss`` must be a single-element variable. Leaves that never received
-        a gradient report zeros (a disconnected variable is not an error).
-        The op record is cleared afterwards; leaf gradients stay accumulated
-        on the variables until ``zero_grad``.
+        ``loss`` must be a single-element variable. A leaf that never received
+        a gradient reads zeros through ``grad`` (a disconnected variable is not
+        an error). The op record is cleared afterwards; leaf gradients stay
+        accumulated on the variables until ``zero_grad``.
         """
         if loss.value.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -124,13 +123,7 @@ class Tape:
             if g is None or node._backward is None:
                 continue
             node._backward(g)
-        out = {}
-        for vid, leaf in self._leaves.items():
-            g = leaf._grad
-            out[vid] = Tensor.zeros(leaf.value.shape) if g is None else Tensor._wrap(g.copy())
         self.ops.clear()
-        self._leaves.clear()
-        return out
 
 
 def _accum(v: Variable, arr: np.ndarray) -> None:
@@ -148,9 +141,6 @@ def record(out: Variable, parents: tuple[Variable, ...], backward) -> Variable:
     out.parents = parents
     out._backward = backward
     tape.ops.append(out)
-    for p in parents:
-        if p.trainable and not p.parents:
-            tape._leaves.setdefault(p.vid, p)
     return out
 
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -25,221 +28,215 @@ from .train import TrainingDiverged, finite_difference_report, predict, train
 
 __all__ = ["RunConfig", "parse_run_config", "parse_synth_config", "main"]
 
-_RUN_SCHEMA = {
-    "data": ("manifest", "train_split", "val_split"),
-    "model": ("variant", "k", "conv_len", "hidden", "dropout_conv", "dropout_lstm"),
-    "train": ("epochs", "lr", "seed"),
-    "metrics": ("thresholds",),
-}
 
-_SYNTH_SCHEMA = {
-    "synth": ("classes", "actions_per_video", "sub_actions", "frames_per_sub",
-              "feature_dim", "noise", "pairs", "rule", "videos", "seed"),
-}
+class Key(NamedTuple):
+    """One key of a config file: ``parse`` reads its text (``ValueError`` if bad)
+    and ``render`` writes it back. The config object holds the value in
+    ``field``, or in the field named like the key, and gives its default and check.
+    """
+
+    section: str
+    name: str
+    parse: Callable[[str], Any] = str
+    render: Callable[[Any], str] = str
+    field: str = ""
+
+    @property
+    def attr(self) -> str:
+        return self.field or self.name
 
 
+def _split(text: str, sep: str, pair_sep: str) -> list[tuple[str, str]]:
+    """``"a:b;c:d"`` split at ``;`` and ``:`` gives ``[("a", "b"), ("c", "d")]``."""
+    pairs = []
+    for chunk in text.split(sep) if text else []:
+        a, found, b = chunk.partition(pair_sep)
+        if not found:
+            raise ValueError(chunk)
+        pairs.append((a, b))
+    return pairs
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(","))
+
+
+def _render_ints(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, hi = _parse_ints(text)  # a ValueError unless there are exactly two
+    return lo, hi
+
+
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    return [(int(a), int(b)) for a, b in _split(text, ";", ":")]
+
+
+def _render_pairs(pairs) -> str:
+    return ";".join(f"{a}:{b}" for a, b in pairs)
+
+
+def _parse_rule(text: str) -> dict[int, int]:
+    return {int(a): int(b) for a, b in _split(text, ",", ">")}
+
+
+def _render_rule(rule) -> str:
+    return ",".join(f"{a}>{b}" for a, b in rule.items())
+
+
+def _parse_videos(text: str) -> dict[str, int]:
+    videos = {name.strip(): int(count) for name, count in _split(text, ",", ":")}
+    if "" in videos:
+        raise ValueError("a split without a name")
+    return videos
+
+
+def _render_videos(videos) -> str:
+    return ",".join(f"{name}:{count}" for name, count in videos.items())
+
+
+_RUN_KEYS = (
+    Key("data", "manifest", Path),
+    Key("data", "train_split"),
+    Key("data", "val_split"),
+    Key("model", "variant"),
+    Key("model", "k", int),
+    Key("model", "conv_len", int),
+    Key("model", "hidden", int),
+    Key("model", "dropout_conv", float, repr),
+    Key("model", "dropout_lstm", float, repr),
+    Key("train", "epochs", int),
+    Key("train", "lr", float, repr),
+    Key("train", "seed", int),
+    Key("metrics", "thresholds", _parse_ints, _render_ints),
+)
+
+_SYNTH_KEYS = (
+    Key("synth", "classes", int, field="num_classes"),
+    Key("synth", "actions_per_video", int),
+    Key("synth", "sub_actions", _parse_range, _render_ints),
+    Key("synth", "frames_per_sub", _parse_range, _render_ints),
+    Key("synth", "feature_dim", int),
+    Key("synth", "noise", float, repr),
+    Key("synth", "pairs", _parse_pairs, _render_pairs, field="ambiguous_pairs"),
+    Key("synth", "rule", _parse_rule, _render_rule, field="dependency_rule"),
+    Key("synth", "videos", _parse_videos, _render_videos, field="videos_per_split"),
+    Key("synth", "seed", int),
+)
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Resolved training/evaluation settings; every field is validated at parse time."""
+    """Resolved training/evaluation settings; every value is checked at parse time.
 
-    def __init__(self, manifest: Path, train_split="train", val_split="test",
-                 variant="full", k=2, conv_len=30, hidden=64,
-                 dropout_conv=0.3, dropout_lstm=0.3,
-                 epochs=200, lr=1e-3, seed=0, thresholds=(10, 25, 50)):
-        self.manifest = manifest
-        self.train_split = train_split
-        self.val_split = val_split
-        self.variant = variant
-        self.k = k
-        self.conv_len = conv_len
-        self.hidden = hidden
-        self.dropout_conv = dropout_conv
-        self.dropout_lstm = dropout_lstm
-        self.epochs = epochs
-        self.lr = lr
-        self.seed = seed
-        self.thresholds = tuple(thresholds)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"[model] variant must be one of {VARIANTS}, got {variant!r}")
+    ``model`` holds the ``[model]`` section with :class:`ModelConfig`'s defaults and
+    checks; :meth:`model_config` adds the data's sizes and the ``[train]`` seed.
+    """
+
+    manifest: Path
+    model: ModelConfig
+    train_split: str = "train"
+    val_split: str = "test"
+    epochs: int = 200
+    lr: float = 1e-3
+    seed: int = 0
+    thresholds: tuple[int, ...] = (10, 25, 50)
+
+    def __post_init__(self):
         if self.epochs < 0:
-            raise ConfigError(f"[train] epochs must be >= 0, got {epochs}")
+            raise ConfigError(f"[train] epochs must be >= 0, got {self.epochs}")
         if not self.lr > 0:
-            raise ConfigError(f"[train] lr must be > 0, got {lr}")
+            raise ConfigError(f"[train] lr must be > 0, got {self.lr}")
         for t in self.thresholds:
             if not 0 < t < 100:
                 raise ConfigError(f"[metrics] thresholds must lie in (0, 100), got {t}")
 
     def model_config(self, input_dim: int, num_classes: int) -> ModelConfig:
-        return ModelConfig(input_dim=input_dim, num_classes=num_classes, variant=self.variant,
-                           k=self.k, conv_len=self.conv_len, hidden=self.hidden,
-                           dropout_conv=self.dropout_conv, dropout_lstm=self.dropout_lstm,
-                           seed=self.seed)
+        return dataclasses.replace(self.model, input_dim=input_dim, num_classes=num_classes,
+                                   seed=self.seed)
 
     def render(self) -> str:
-        return (
-            "[data]\n"
-            f"manifest = {self.manifest}\n"
-            f"train_split = {self.train_split}\n"
-            f"val_split = {self.val_split}\n\n"
-            "[model]\n"
-            f"variant = {self.variant}\n"
-            f"k = {self.k}\n"
-            f"conv_len = {self.conv_len}\n"
-            f"hidden = {self.hidden}\n"
-            f"dropout_conv = {self.dropout_conv!r}\n"
-            f"dropout_lstm = {self.dropout_lstm!r}\n\n"
-            "[train]\n"
-            f"epochs = {self.epochs}\n"
-            f"lr = {self.lr!r}\n"
-            f"seed = {self.seed}\n\n"
-            "[metrics]\n"
-            f"thresholds = {','.join(str(t) for t in self.thresholds)}\n"
-        )
+        return _render(_RUN_KEYS, lambda section: self.model if section == "model" else self)
 
 
-def _read_sections(path: Path, schema) -> dict[str, dict[str, str]]:
-    if not path.exists():
-        raise ConfigError(f"{path}: no such config file")
+def _read(path: Path, keys) -> dict[Key, Any]:
+    """The parsed value of every key the file sets; any other section or key is an error."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 (byte {exc.start})") from exc
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
+        cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    out: dict[str, dict[str, str]] = {}
+    table = {(key.section, key.name): key for key in keys}
+    given = {}
     for section in cp.sections():
-        if section not in schema:
+        if section not in {key.section for key in keys}:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in cp[section]:
-            if key not in schema[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-        out[section] = dict(cp[section])
+        for name, value in cp[section].items():
+            key = table.get((section, name))
+            if key is None:
+                raise ConfigError(f"{path}: unknown key {name!r} in section [{section}]")
+            try:
+                given[key] = key.parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad value {value!r} for {name!r} in [{section}]") from exc
+    return given
+
+
+def _fields(cls, keys, given: dict[Key, Any]) -> dict[str, Any]:
+    """The given values of keys as cls's keyword arguments; cls's defaults fill the rest."""
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    out = {}
+    for key in keys:
+        if key in given:
+            out[key.attr] = given[key]
+        elif key.attr in required:
+            raise ConfigError(f"missing required config key {key.name!r} in section [{key.section}]")
     return out
 
 
-def _get(raw, section, key, kind, default):
-    value = raw.get(section, {}).get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required config key {key!r} in section [{section}]")
-        return default
+def _checked(section: str, cls, **fields):
+    """cls(**fields), with the section named in a failed check."""
     try:
-        if kind is bool:
-            if value not in ("true", "false"):
-                raise ValueError(value)
-            return value == "true"
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r} in [{section}]: bad value {value!r}") from exc
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
-_REQUIRED = object()
+def _render(keys, holder) -> str:
+    """The config text of every key, its value read from ``holder(section)``."""
+    sections: dict[str, list[str]] = {}
+    for key in keys:
+        value = key.render(getattr(holder(key.section), key.attr))
+        sections.setdefault(key.section, [f"[{key.section}]"]).append(f"{key.name} = {value}")
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
 def parse_run_config(path) -> RunConfig:
+    """Read a ``run.cfg``; a relative manifest path is made absolute against the config's directory."""
     path = Path(path)
-    raw = _read_sections(path, _RUN_SCHEMA)
-    manifest = Path(_get(raw, "data", "manifest", str, _REQUIRED))
-    if not manifest.is_absolute():
-        manifest = path.parent / manifest
-    thresholds = _get(raw, "metrics", "thresholds", str, "10,25,50")
-    try:
-        thr = tuple(int(t) for t in thresholds.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"config key 'thresholds': bad value {thresholds!r}") from exc
-    return RunConfig(
-        manifest=manifest,
-        train_split=_get(raw, "data", "train_split", str, "train"),
-        val_split=_get(raw, "data", "val_split", str, "test"),
-        variant=_get(raw, "model", "variant", str, "full"),
-        k=_get(raw, "model", "k", int, 2),
-        conv_len=_get(raw, "model", "conv_len", int, 30),
-        hidden=_get(raw, "model", "hidden", int, 64),
-        dropout_conv=_get(raw, "model", "dropout_conv", float, 0.3),
-        dropout_lstm=_get(raw, "model", "dropout_lstm", float, 0.3),
-        epochs=_get(raw, "train", "epochs", int, 200),
-        lr=_get(raw, "train", "lr", float, 1e-3),
-        seed=_get(raw, "train", "seed", int, 0),
-        thresholds=thr,
-    )
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    if not text:
-        return []
-    pairs = []
-    for chunk in text.split(";"):
-        a, sep, b = chunk.partition(":")
-        if not sep:
-            raise ValueError(chunk)
-        pairs.append((int(a), int(b)))
-    return pairs
-
-
-def _parse_rule(text: str) -> dict[int, int]:
-    if not text:
-        return {}
-    rule = {}
-    for chunk in text.split(","):
-        a, sep, b = chunk.partition(">")
-        if not sep:
-            raise ValueError(chunk)
-        rule[int(a)] = int(b)
-    return rule
-
-
-def _parse_videos(text: str) -> dict[str, int]:
-    out = {}
-    for chunk in text.split(","):
-        name, sep, count = chunk.partition(":")
-        if not sep or not name.strip():
-            raise ValueError(chunk)
-        out[name.strip()] = int(count)
-    return out
-
-
-def _parse_range(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(text)
-    return int(parts[0]), int(parts[1])
+    given = _read(path, _RUN_KEYS)
+    model_keys = [key for key in _RUN_KEYS if key.section == "model"]
+    run_keys = [key for key in _RUN_KEYS if key.section != "model"]
+    # the smallest valid sizes stand in for the data's until model_config
+    model = _checked("model", ModelConfig, input_dim=1, num_classes=2,
+                     **_fields(ModelConfig, model_keys, given))
+    fields = _fields(RunConfig, run_keys, given)
+    fields["manifest"] = path.absolute().parent / fields["manifest"]
+    return RunConfig(model=model, **fields)
 
 
 def parse_synth_config(path) -> SynthConfig:
-    raw = _read_sections(Path(path), _SYNTH_SCHEMA)
-
-    def get(key, kind, default=_REQUIRED):
-        return _get(raw, "synth", key, kind, default)
-
-    return SynthConfig(
-        num_classes=get("classes", int),
-        actions_per_video=get("actions_per_video", int),
-        sub_actions=get("sub_actions", _parse_range),
-        frames_per_sub=get("frames_per_sub", _parse_range),
-        feature_dim=get("feature_dim", int),
-        noise=get("noise", float, 0.05),
-        ambiguous_pairs=get("pairs", _parse_pairs, []),
-        dependency_rule=get("rule", _parse_rule, {}),
-        videos_per_split=get("videos", _parse_videos, {"train": 10, "test": 5}),
-        seed=get("seed", int, 0),
-    )
-
-
-def _render_synth(cfg: SynthConfig) -> str:
-    pairs = ";".join(f"{a}:{b}" for a, b in cfg.ambiguous_pairs)
-    rule = ",".join(f"{k}>{v}" for k, v in cfg.dependency_rule.items())
-    videos = ",".join(f"{k}:{v}" for k, v in cfg.videos_per_split.items())
-    return (
-        "[synth]\n"
-        f"classes = {cfg.num_classes}\n"
-        f"actions_per_video = {cfg.actions_per_video}\n"
-        f"sub_actions = {cfg.sub_actions[0]},{cfg.sub_actions[1]}\n"
-        f"frames_per_sub = {cfg.frames_per_sub[0]},{cfg.frames_per_sub[1]}\n"
-        f"feature_dim = {cfg.feature_dim}\n"
-        f"noise = {cfg.noise!r}\n"
-        f"pairs = {pairs}\n"
-        f"rule = {rule}\n"
-        f"videos = {videos}\n"
-        f"seed = {cfg.seed}\n"
-    )
+    given = _read(Path(path), _SYNTH_KEYS)
+    return _checked("synth", SynthConfig, **_fields(SynthConfig, _SYNTH_KEYS, given))
 
 
 def _out_dir(arg) -> Path:
@@ -253,7 +250,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args.out)
     dataset = synth_generate(cfg)
     manifest_path = save_dataset(dataset, out, binary=args.binary)
-    (out / "resolved.cfg").write_text(_render_synth(cfg))
+    (out / "resolved.cfg").write_text(_render(_SYNTH_KEYS, lambda section: cfg), encoding="utf-8")
     frames = sum(len(s) for s in dataset.samples.values())
     print(f"wrote {len(dataset.samples)} samples ({frames} frames) under {manifest_path.parent}")
     return 0
@@ -272,8 +269,8 @@ def cmd_train(args) -> int:
                    checkpoint_path=out / "checkpoint.bin")
     (out / "report.txt").write_text(report.to_text())
     (out / "report.kv").write_text(report.to_kv())
-    (out / "resolved.cfg").write_text(rc.render())
-    print(f"trained {rc.variant} for {len(report.epochs)} epochs; "
+    (out / "resolved.cfg").write_text(rc.render(), encoding="utf-8")
+    print(f"trained {rc.model.variant} for {len(report.epochs)} epochs; "
           f"final val acc {report.final.accuracy:.3f}; outputs in {out}")
     return 0
 
@@ -297,7 +294,7 @@ def cmd_eval(args) -> int:
                       background=man.background, ids=[s.id for s in seqs])
     (out / "report.txt").write_text(report.to_text())
     (out / "report.kv").write_text(report.to_kv())
-    (out / "resolved.cfg").write_text(rc.render())
+    (out / "resolved.cfg").write_text(rc.render(), encoding="utf-8")
     print(report.to_text(), end="")
     return 0
 

@@ -368,8 +368,8 @@ class SynthConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         for name in ("sub_actions", "frames_per_sub"):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:

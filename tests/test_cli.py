@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import actionseg.layers
-from actionseg.cli import main
+from actionseg.cli import main, parse_run_config, parse_synth_config
+from actionseg.errors import ConfigError
 from actionseg.model import ModelConfig, build, save_checkpoint
 
 SYNTH_CFG = """
@@ -216,3 +222,147 @@ def test_train_rerun_byte_identical_outputs(workdir):
     assert main(["train", "--config", str(cfg), "--out", str(workdir / "r2")]) == 0
     for name in ("report.kv", "checkpoint.bin", "resolved.cfg"):
         assert (workdir / "r1" / name).read_bytes() == (workdir / "r2" / name).read_bytes()
+
+
+def test_rerun_from_resolved_config_of_a_relative_config(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    (workdir / "cfgs").mkdir()
+    (workdir / "cfgs" / "run.cfg").write_text(RUN_CFG.format(manifest="../ds/manifest.txt",
+                                                             epochs=2, lr=2e-3))
+    assert main(["train", "--config", "cfgs/run.cfg", "--out", "out1"]) == 0
+    assert main(["train", "--config", "out1/resolved.cfg", "--out", "out2"]) == 0
+    for name in ("report.kv", "checkpoint.bin", "resolved.cfg"):
+        assert (workdir / "out1" / name).read_bytes() == (workdir / "out2" / name).read_bytes()
+    manifest = parse_run_config("out1/resolved.cfg").manifest
+    assert manifest.is_absolute() and manifest.resolve() == (workdir / "ds" / "manifest.txt").resolve()
+
+
+@pytest.mark.parametrize("key, value", [("k", "0"), ("k", "5"), ("hidden", "0"), ("conv_len", "0"),
+                                        ("dropout_conv", "1.5"), ("dropout_lstm", "nan"),
+                                        ("variant", "wide")])
+def test_model_values_are_checked_at_parse_time(workdir, key, value, capsys):
+    cfg = write_run_cfg(workdir)
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in cfg.read_text().splitlines()]
+    cfg.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"\[model\]") as err:
+        parse_run_config(cfg)
+    assert key in str(err.value)
+    ckpt = workdir / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=5, num_classes=4, k=1, conv_len=2, hidden=2)), ckpt)
+    rc = main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(workdir / "ev")])
+    assert rc == 2
+    assert "[model]" in capsys.readouterr().err
+    assert not (workdir / "ev" / "resolved.cfg").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_non_utf8_config_exits_2(tmp_path, command, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[synth]\nclasses = 4\xff\n" if command == "synth" else
+                    b"[data]\nmanifest = m\xe9.txt\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[data]\nmanifest = m.txt\n[extra]\nx = 1\n", ["[extra]"]),
+    ("[data]\nmanifest = m.txt\n[train]\nepoch = 1\n", ["'epoch'", "[train]"]),
+    ("[model]\nk = 1\n", ["'manifest'", "[data]"]),
+    ("[data]\nmanifest = m.txt\n[train]\nlr = fast\n", ["'lr'", "[train]"]),
+    ("[data]\nmanifest = m.txt\n[metrics]\nthresholds = 10,x\n", ["'thresholds'", "[metrics]"]),
+], ids=["unknown-section", "unknown-key", "missing-key", "bad-value", "bad-list-value"])
+def test_run_config_errors_name_the_section_and_key(tmp_path, text, named):
+    (tmp_path / "run.cfg").write_text(text)
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(tmp_path / "run.cfg")
+    for part in named:
+        assert part in str(err.value)
+
+
+def test_config_that_cannot_be_read_exits_2(tmp_path, capsys):
+    for config in (tmp_path / "nope.cfg", tmp_path):
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_synth_resolved_config_rereads_to_the_same_config(workdir):
+    first = parse_synth_config(workdir / "synth.cfg")
+    assert parse_synth_config(workdir / "ds" / "resolved.cfg") == first
+    assert first.noise == 0.05 and first.ambiguous_pairs == [] and first.dependency_rule == {}
+
+
+def test_readme_config_examples_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    run_text, synth_text = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    (tmp_path / "run.cfg").write_text(run_text)
+    (tmp_path / "synth.cfg").write_text(synth_text)
+    assert parse_run_config(tmp_path / "run.cfg").model.conv_len == 30
+    assert parse_synth_config(tmp_path / "synth.cfg").dependency_rule == {0: 2, 1: 3}
+
+
+# Config bytes for the parser properties: random bytes; sections of lines
+# drawn from each file's keys, with typical, bad and random values; and a
+# valid config with one line replaced. Text is also spliced with stray bytes.
+RUN_LINES = {
+    "data": ["manifest = m.txt", "manifest =", "train_split = train", "val_split = a b"],
+    "model": ["variant = low", "variant = wide", "k = 1", "k = 0", "conv_len = 3", "hidden = 2",
+              "hidden = 1e3", "dropout_conv = 0.5", "dropout_lstm = 1.5"],
+    "train": ["epochs = 3", "epochs = -1", "lr = 0.01", "lr = nan", "lr = inf", "seed = 7"],
+    "metrics": ["thresholds = 10,25", "thresholds = 0", "thresholds = ,", "thresholds = 99"],
+    "extra": ["x = 1"],
+}
+SYNTH_LINES = {
+    "synth": ["classes = 5", "classes = 1", "actions_per_video = 6", "actions_per_video = 0",
+              "sub_actions = 2,2", "sub_actions = 3,1", "sub_actions = 1,2,3", "frames_per_sub = 4,6",
+              "feature_dim = 3", "noise = 0.1", "noise = nan", "pairs = 2:3", "pairs = 2:2",
+              "pairs =", "rule = 0>2,1>3", "rule = 0>", "videos = train:2,test:1", "videos = :1",
+              "videos =", "seed = 3", "seed = x"],
+    "data": ["x = 1"],
+}
+
+
+def config_bytes(sections, valid):
+    def keyed(lines):
+        key = st.sampled_from(sorted({line.split(" =")[0] for line in lines}))
+        return st.builds("{} = {}".format, key, st.text(max_size=12))
+
+    def section(name):
+        line = st.one_of(st.sampled_from(sections[name]), keyed(sections[name]))
+        body = st.lists(line, max_size=8, unique_by=lambda text: text.split("=")[0].strip())
+        return body.map(lambda body: "\n".join([f"[{name}]", *body]))
+
+    lines = [line for block in sections.values() for line in block]
+    line = st.one_of(st.sampled_from(lines), keyed(lines), st.text(max_size=16))
+
+    names = st.lists(st.sampled_from(sorted(sections)), unique=True, max_size=len(sections))
+    blocks = names.flatmap(lambda names: st.tuples(*map(section, names))).map("\n".join)
+    base = valid.strip().splitlines()
+    mutated = st.tuples(st.integers(0, len(base) - 1), line).map(
+        lambda edit: "\n".join(base[:edit[0]] + [edit[1]] + base[edit[0] + 1:]))
+    text = st.one_of(blocks, mutated).map(str.encode)
+    spliced = st.tuples(text, st.binary(min_size=1, max_size=3), st.integers(0, 200)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+    return st.one_of(st.binary(max_size=120), text, spliced)
+
+
+VALID_RUN = RUN_CFG.format(manifest="m.txt", epochs=3, lr=0.01)
+
+
+@pytest.mark.parametrize("parse, sections, valid", [
+    (parse_run_config, RUN_LINES, VALID_RUN),
+    (parse_synth_config, SYNTH_LINES, SYNTH_CFG),
+], ids=["run.cfg", "synth.cfg"])
+def test_config_parsers_load_or_raise_config_error(tmp_path_factory, parse, sections, valid):
+    path = tmp_path_factory.mktemp("cfg") / "any.cfg"
+
+    @given(config_bytes(sections, valid))
+    @example(valid.encode())
+    def loads_or_raises_config_error(blob):
+        path.write_bytes(blob)
+        try:
+            parse(path)
+        except ConfigError:
+            pass
+
+    loads_or_raises_config_error()

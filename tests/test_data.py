@@ -238,6 +238,9 @@ def test_synth_config_validation():
         synth_cfg(num_classes=4)  # no filler class left
     with pytest.raises(ConfigError):
         synth_cfg(sub_actions=(3, 2))  # empty range
+    for noise in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ConfigError, match="noise"):
+            synth_cfg(noise=noise)
 
 
 # timeline export

@@ -1,10 +1,11 @@
-import importlib
 import math
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+import actionseg.layers as layers_mod
+import actionseg.train as train_mod
 from actionseg.autodiff import Tape, Variable, finite_diff_check
 from actionseg.data import SynthConfig, synth_generate
 from actionseg.errors import ContractError
@@ -273,8 +274,6 @@ def test_finite_difference_report_keeps_the_callers_gradients():
 
 
 def test_finite_difference_report_never_touches_the_models_variables(monkeypatch):
-    # the package exports the function ``train``, which hides the module attribute
-    train_mod = importlib.import_module("actionseg.train")
     model = build(ModelConfig(input_dim=2, num_classes=2, variant="conv_only", k=1, conv_len=1,
                               hidden=1, dropout_conv=0.0, dropout_lstm=0.0, seed=7))
     real = train_mod.finite_diff_check
@@ -298,7 +297,6 @@ def test_finite_difference_report_never_touches_the_models_variables(monkeypatch
 
 
 def test_divergence_names_the_first_non_finite_gradient_block(monkeypatch):
-    layers_mod = importlib.import_module("actionseg.layers")
     ds = tiny_dataset()
     m = tiny_model("conv_only", seed=8)
     planted = m.params["dec2.conv.kernels"]
@@ -325,3 +323,8 @@ def test_divergence_names_the_first_non_finite_gradient_block(monkeypatch):
     for name, p in m.params.items():
         assert np.array_equal(p.value.data, before[name]), name
         assert p._grad is None, name
+
+
+def test_the_train_module_is_not_hidden_by_the_train_function():
+    assert train_mod.train is train
+    assert train_mod.__name__ == "actionseg.train"
