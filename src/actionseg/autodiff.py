@@ -41,7 +41,6 @@ __all__ = [
     "transpose",
     "concat",
     "slice_axis",
-    "reverse_time",
     "sum_all",
     "reduce_sum",
     "finite_diff_check",
@@ -264,17 +263,6 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Variable:
             full = np.zeros(shape, dtype=np.float64)
             full[idx] = g
             _accum(a, full)
-        record(out, (a,), bw)
-    return out
-
-
-def reverse_time(a) -> Variable:
-    """Flip the leading (time) axis."""
-    a = as_variable(a)
-    out = Variable(Tensor._wrap(a.value.data[::-1].copy()))
-    if taping():
-        def bw(g):
-            _accum(a, g[::-1])
         record(out, (a,), bw)
     return out
 

@@ -183,6 +183,8 @@ def _read(path: Path, keys) -> dict[Key, Any]:
             key = table.get((section, name))
             if key is None:
                 raise ConfigError(f"{path}: unknown key {name!r} in section [{section}]")
+            if "\n" in value:  # continuation lines, which resolved.cfg cannot write back
+                raise ConfigError(f"{path}: value of {name!r} in [{section}] contains a line break")
             try:
                 given[key] = key.parse(value)
             except ValueError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -36,6 +37,7 @@ __all__ = [
     "upsample_repeat",
     "lstm_forward",
     "bilstm",
+    "upsample_bilstm",
     "softmax_time",
     "time_softmax_dense",
     "dropout",
@@ -108,6 +110,13 @@ class LSTMParams:
     Input weights W_x* are (hidden, in_dim), recurrent weights W_h* are
     (hidden, hidden), biases are (hidden,); the gate order everywhere is
     input, forget, output, candidate.
+
+    :meth:`stacked` caches the gate weights stacked the way the recurrence
+    reads them, keyed on the identity of all 12 tensors, as
+    :meth:`Conv1DParams.merged_kernels` caches its merge: ``adam_step``
+    installs new tensors, so training stacks once per step, and the copies
+    that ``dataclasses.replace`` makes (``Stage.swap``, ``Stage.shadow``)
+    start with no cache.
     """
 
     W_xi: Variable
@@ -140,6 +149,35 @@ class LSTMParams:
 
     def blocks(self) -> list[tuple[str, Variable]]:
         return [(n, getattr(self, n)) for n in LSTM_FIELDS]
+
+    def stacked(self) -> "StackedGates":
+        """The gate weights stacked gate by gate, read-only (see :class:`StackedGates`)."""
+        key = tuple(getattr(self, n).value for n in LSTM_FIELDS)
+        cached = self.__dict__.get("_stacked")
+        if cached is not None and all(a is b for a, b in zip(cached[0], key)):
+            return cached[1]
+        wx, wh, b = (np.concatenate([t.data for t in key[i:i + 4]]) for i in (0, 4, 8))
+        stacked = StackedGates(wx, b, np.ascontiguousarray(wh.T))
+        for arr in stacked:
+            arr.flags.writeable = False
+        # the key is held, so no id in it can be reused; one assignment, so a
+        # concurrent caller sees either the old pair or the new one
+        self._stacked = (key, stacked)
+        return stacked
+
+
+class StackedGates(NamedTuple):
+    """One unit's gate weights as the forward recurrence reads them.
+
+    ``wx`` (4H, in_dim) and ``b`` (4H,), in the forward gate order, give the
+    input projection x @ wx.T + b; ``wh_t`` (H, 4H) is the recurrent matrix,
+    transposed and contiguous. The backward pass reorders rows per call
+    (:func:`_bwd_order`), so an untaped model keeps only these.
+    """
+
+    wx: np.ndarray
+    b: np.ndarray
+    wh_t: np.ndarray
 
 
 # The LSTMParams field names in declaration order: W_x*, W_h*, b_*, each in
@@ -368,15 +406,15 @@ def upsample_repeat(x) -> Variable:
     return out
 
 
-def _stack_params(p: LSTMParams):
-    arrs = [getattr(p, n).value.data for n in LSTM_FIELDS]
-    return np.concatenate(arrs[:4]), np.concatenate(arrs[4:8]), np.concatenate(arrs[8:])
-
-
 # Gate order of the LSTM backward pass, as indices into the forward order
 # (i, f, o, g). The permutation is its own inverse, so it also maps a forward
 # gate to its row block in the backward order.
 _BWD_GATES = [0, 1, 3, 2]
+
+
+def _bwd_order(w: np.ndarray, hidden: int) -> np.ndarray:
+    """The (4H, *) gate rows of ``w`` in the backward pass's gate order, as a new array."""
+    return w.reshape(4, hidden, -1)[_BWD_GATES].reshape(4 * hidden, -1)
 
 
 def _state_vec(v, hidden: int, what: str) -> np.ndarray:
@@ -388,6 +426,138 @@ def _state_vec(v, hidden: int, what: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def _steps(a: np.ndarray, d: int) -> np.ndarray:
+    # direction d's rows in the order it steps through them: direction 1 runs backward in time
+    return a[::-1] if d else a
+
+
+def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=None, c0=None) -> Variable:
+    """One LSTM per direction over the frames, all directions in one loop; returns (T, n*H).
+
+    ``units[0]`` steps through the frames in order and ``units[1]``, if
+    given, in reverse; the output holds each direction's hidden states in
+    frame order, side by side. With ``upsample`` the frames are the input
+    rows each repeated twice, but the input projection x @ W_x.T + b is
+    computed on the un-repeated rows and repeated. ``h0`` and ``c0`` are
+    the initial states, broadcast to (n, H); zeros if None.
+
+    Each step's gate row is laid out gate x direction x unit, so one call of
+    ``expit`` covers the three sigmoid gates of every direction and one call
+    of every other elementwise function covers all directions; only the
+    recurrent product h @ W_h.T is one GEMV per direction, into a reused
+    row. Each direction's projection is written straight into the gate
+    buffer and freed before the loop, and the recurrent term is added in
+    place. tanh(c) is not kept; the backward pass recomputes it.
+
+    The backward pass runs the same way over the gate-derivative factors
+    (see :func:`lstm_forward`), which its loop overwrites in place with the
+    gate gradient: one (4H,) @ (4H, H) GEMV per direction and step, every
+    other call covering all directions. With ``upsample`` the row pairs of
+    the gate gradient are summed before the W_x and input-gradient GEMMs.
+    """
+    x = as_variable(x)
+    xd = x.value.data
+    n, hidden = len(units), units[0].hidden
+    if any(p.hidden != hidden for p in units):
+        raise ShapeError(f"direction hidden sizes differ: {[p.hidden for p in units]}")
+    if xd.ndim != 2 or any(xd.shape[1] != p.input_dim for p in units):
+        raise ShapeError(f"lstm input shape {x.value.shape} does not match expected (*, {units[0].input_dim})")
+    s_len = xd.shape[0]
+    repeat = 2 if upsample else 1
+    t_len = repeat * s_len
+    stacks = [p.stacked() for p in units]
+
+    gates = np.empty((t_len, 4, n, hidden), dtype=np.float64)  # step, gate, direction, unit
+    for d, w in enumerate(stacks):
+        proj = xd @ w.wx.T
+        proj += w.b
+        rows = _steps(proj, d).reshape(s_len, 1, 4, hidden)
+        gates.reshape(s_len, repeat, 4, n, hidden)[:, :, :, d] = rows
+        del proj, rows
+    sig = gates.reshape(t_len, -1)[:, :3 * n * hidden]  # flat: expit is slower on a 3D view
+    i_s, f_s, o_s, g_s = (gates[:, k] for k in range(4))
+    hs = np.empty((t_len + 1, n, hidden), dtype=np.float64)  # hs[t + 1] = h after step t
+    cs = np.empty((t_len + 1, n, hidden), dtype=np.float64)  # cs[t + 1] = c after step t
+    hs[0] = 0.0 if h0 is None else h0
+    cs[0] = 0.0 if c0 is None else c0
+    rec = np.empty((n, 4 * hidden), dtype=np.float64)
+    rec_g = rec.reshape(n, 4, hidden).transpose(1, 0, 2)  # rec in the gate row's layout
+    gemvs = [(w.wh_t, r) for w, r in zip(stacks, rec)]
+    ig = np.empty((n, hidden), dtype=np.float64)
+    tanh_c = np.empty((n, hidden), dtype=np.float64)
+
+    # zip hands each step its rows as views, without indexing in Python
+    for a, sg, cd, f, i, o, c_prev, c, h, *h_prev in zip(
+            gates, sig, g_s, f_s, i_s, o_s, cs[:-1], cs[1:], hs[1:], *hs[:-1].transpose(1, 0, 2)):
+        for h_d, (wh_t, r) in zip(h_prev, gemvs):
+            np.matmul(h_d, wh_t, out=r)
+        a += rec_g
+        expit(sg, out=sg)
+        np.tanh(cd, out=cd)
+        np.multiply(f, c_prev, out=c)
+        c += np.multiply(i, cd, out=ig)
+        np.multiply(o, np.tanh(c, out=tanh_c), out=h)
+
+    out = Variable(Tensor._wrap(np.concatenate([_steps(hs[1:, d], d) for d in range(n)], axis=1)))
+
+    if taping():
+        # bind the block variables now: the params objects may be re-pointed
+        # at other variables by the time backward runs
+        block_vars = [var for p in units for _, var in p.blocks()]
+        wants_dx = _wants_grad(x)
+        def bw(g):
+            # the factors, per direction in the gate order i, f, g, o, so that
+            # the three gates scaled by the cell gradient are one block; the
+            # loop overwrites them with the gate gradient da
+            tc = np.tanh(cs[1:])
+            da = np.empty((t_len, n, 4, hidden), dtype=np.float64)
+            da[:, :, 0] = g_s * i_s * (1.0 - i_s)
+            da[:, :, 1] = cs[:-1] * f_s * (1.0 - f_s)
+            da[:, :, 2] = i_s * (1.0 - g_s * g_s)
+            da[:, :, 3] = tc * o_s * (1.0 - o_s)
+            h_to_c = o_s * (1.0 - tc * tc)
+            del tc
+            da_c, da_h = da[:, :, :3], da[:, :, 3]
+            da_rows = da.reshape(t_len, n, 4 * hidden)
+            g = g.reshape(t_len, n, hidden)
+            dh_in = np.stack([_steps(g[:, d], d) for d in range(n)], axis=1)
+            dh = np.zeros((n, hidden), dtype=np.float64)
+            dc = np.zeros((n, hidden), dtype=np.float64)
+            dc_g = dc[:, None]
+            tmp = np.empty((n, hidden), dtype=np.float64)
+            gemvs = [(_bwd_order(w.wh_t.T, hidden), r) for w, r in zip(stacks, dh)]
+            for g_t, hc, dac, dah, da_t, f in zip(dh_in[::-1], h_to_c[::-1], da_c[::-1],
+                                                  da_h[::-1], da_rows[::-1], f_s[::-1]):
+                dh += g_t
+                dc += np.multiply(dh, hc, out=tmp)
+                np.multiply(dac, dc_g, out=dac)
+                np.multiply(dah, dh, out=dah)
+                for da_d, (wh_b, r) in zip(da_t, gemvs):
+                    np.matmul(da_d, wh_b, out=r)
+                dc *= f
+            del dh_in, h_to_c
+            for d, w in enumerate(stacks):
+                a = da_rows[:, d]
+                dwh = a.T @ hs[:-1, d]
+                db = a.sum(axis=0)
+                if upsample:
+                    a = a[0::2] + a[1::2]
+                dwx = a.T @ np.ascontiguousarray(_steps(xd, d))
+                dvars = block_vars[12 * d:12 * (d + 1)]
+                for k, pos in enumerate(_BWD_GATES):
+                    rows = slice(pos * hidden, (pos + 1) * hidden)
+                    ad._accum(dvars[k], dwx[rows])        # W_x*
+                    ad._accum(dvars[4 + k], dwh[rows])    # W_h*
+                    ad._accum(dvars[8 + k], db[rows])     # b_*
+                if wants_dx:
+                    part = _steps(a @ _bwd_order(w.wx, hidden), d)
+                    dx = part if d == 0 else dx + part
+            if wants_dx:
+                ad._accum(x, dx)
+        record(out, (x,) + tuple(block_vars), bw)
+    return out
+
+
 def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
     """Run one recurrent unit over the sequence; returns the hidden states (T, H).
 
@@ -395,99 +565,45 @@ def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
     is c_t = f_t*c_{t-1} + i_t*g_t and the output is h_t = o_t*tanh(c_t). The
     initial states default to zeros and receive no gradient. The input GEMM
     is done once for all steps; the hidden and cell histories are kept in
-    (T+1, H) buffers whose row 0 holds h0 and c0.
+    (T+1, H) buffers whose row 0 holds h0 and c0. The loop is the one that
+    :func:`bilstm` runs over two directions.
 
     The backward pass first computes every gate-derivative factor for all T
     at once: g*i(1-i), c_{t-1}*f(1-f) and i(1-g^2) scale the cell gradient,
     tanh(c)*o(1-o) scales the hidden gradient, and o(1-tanh^2 c) carries the
     hidden gradient into the cell. Each step of the loop then only adds,
     scales and makes one (1, 4H) @ (4H, H) product, writing into buffers
-    that exist already.
+    that exist already. An input that is a leaf and not trainable gets no
+    gradient.
     """
-    x = as_variable(x)
-    xd = x.value.data
-    if xd.ndim != 2 or xd.shape[1] != p.input_dim:
-        raise ShapeError(f"lstm input shape {x.value.shape} does not match expected (*, {p.input_dim})")
-    t_len = xd.shape[0]
     hidden = p.hidden
-    wx, wh, b = _stack_params(p)
-
-    pre = xd @ wx.T + b  # (T, 4H), recurrent term added per step
-    wh_t = np.ascontiguousarray(wh.T)
-    gates = np.empty((t_len, 4 * hidden), dtype=np.float64)
-    i_s, f_s, o_s, g_s = gates.reshape(t_len, 4, hidden).transpose(1, 0, 2)
-    sig = gates[:, :3 * hidden]
-    hs = np.empty((t_len + 1, hidden), dtype=np.float64)  # hs[t + 1] = h_t
-    cs = np.empty((t_len + 1, hidden), dtype=np.float64)  # cs[t + 1] = c_t
-    hs[0] = _state_vec(h0, hidden, "h0")
-    cs[0] = _state_vec(c0, hidden, "c0")
-    tanh_c = np.empty((t_len, hidden), dtype=np.float64)
-    ig = np.empty(hidden, dtype=np.float64)
-
-    for t in range(t_len):
-        a = gates[t]
-        np.matmul(hs[t], wh_t, out=a)
-        a += pre[t]
-        expit(sig[t], out=sig[t])
-        np.tanh(g_s[t], out=g_s[t])
-        c = np.multiply(f_s[t], cs[t], out=cs[t + 1])
-        c += np.multiply(i_s[t], g_s[t], out=ig)
-        np.multiply(o_s[t], np.tanh(c, out=tanh_c[t]), out=hs[t + 1])
-
-    out = Variable(Tensor._wrap(hs[1:]))
-
-    if taping():
-        # bind the block variables now: the params object may be re-pointed
-        # at other variables by the time backward runs
-        block_vars = [var for _, var in p.blocks()]
-        def bw(g):
-            # the backward pass orders the gates i, f, g, o, so that the three
-            # gates scaled by the cell gradient are one block
-            fac = np.empty((t_len, 4, hidden), dtype=np.float64)
-            fac[:, 0] = g_s * i_s * (1.0 - i_s)
-            fac[:, 1] = cs[:-1] * f_s * (1.0 - f_s)
-            fac[:, 2] = i_s * (1.0 - g_s * g_s)
-            fac[:, 3] = tanh_c * o_s * (1.0 - o_s)
-            h_to_c = o_s * (1.0 - tanh_c * tanh_c)
-            fac_c, fac_h = fac[:, :3], fac[:, 3]
-            da = np.empty((t_len, 4 * hidden), dtype=np.float64)
-            da_c, da_h = da.reshape(t_len, 4, hidden)[:, :3], da[:, 3 * hidden:]
-            wh_b, wx_b = (w.reshape(4, hidden, -1)[_BWD_GATES].reshape(4 * hidden, -1) for w in (wh, wx))
-            dh = np.zeros(hidden, dtype=np.float64)
-            dc = np.zeros(hidden, dtype=np.float64)
-            tmp = np.empty(hidden, dtype=np.float64)
-            for t in range(t_len - 1, -1, -1):
-                dh += g[t]
-                dc += np.multiply(dh, h_to_c[t], out=tmp)
-                np.multiply(fac_c[t], dc, out=da_c[t])
-                np.multiply(fac_h[t], dh, out=da_h[t])
-                np.matmul(da[t], wh_b, out=dh)
-                dc *= f_s[t]
-            dwx = da.T @ xd
-            dwh = da.T @ hs[:-1]
-            db = da.sum(axis=0)
-            for k, pos in enumerate(_BWD_GATES):
-                rows = slice(pos * hidden, (pos + 1) * hidden)
-                ad._accum(block_vars[k], dwx[rows])        # W_x*
-                ad._accum(block_vars[4 + k], dwh[rows])    # W_h*
-                ad._accum(block_vars[8 + k], db[rows])     # b_*
-            ad._accum(x, da @ wx_b)
-        record(out, (x,) + tuple(block_vars), bw)
-    return out
+    return _recurrence(x, (p,), h0=_state_vec(h0, hidden, "h0"), c0=_state_vec(c0, hidden, "c0"))
 
 
 def bilstm(x, fwd: LSTMParams, bwd: LSTMParams) -> Variable:
-    """Two recurrent passes, one per time direction, concatenated to (T, 2H).
+    """Two recurrent units, one per time direction, side by side: (T, 2H).
 
-    The backward-direction unit consumes the reversed sequence and its
-    outputs are re-reversed to forward time order before concatenation.
+    ``fwd`` reads the frames in order and ``bwd`` in reverse, by index; each
+    direction's hidden states are written in frame order. Both directions
+    run in one loop, whose steps serve the two at once (:func:`_recurrence`),
+    so the result equals two :func:`lstm_forward` calls, the second on the
+    reversed frames and re-reversed, concatenated.
     """
-    if fwd.hidden != bwd.hidden:
-        raise ShapeError(f"direction hidden sizes differ: {fwd.hidden} vs {bwd.hidden}")
-    x = as_variable(x)
-    h_f = lstm_forward(x, fwd)
-    h_b = ad.reverse_time(lstm_forward(ad.reverse_time(x), bwd))
-    return ad.concat(h_f, h_b, axis=1)
+    return _recurrence(x, (fwd, bwd))
+
+
+def upsample_bilstm(x, fwd: LSTMParams, bwd: LSTMParams) -> Variable:
+    """``bilstm(upsample_repeat(x), fwd, bwd)``, with the input projection at the input rate.
+
+    Frames 2m and 2m+1 of the repeated input are both row m of ``x``, so the
+    input projection x @ W_x.T + b is computed on the S rows of ``x`` and
+    repeated, and the repeated input is never built. The recurrence runs
+    over all 2S frames. The backward pass sums the row pairs of the gate
+    gradient before the W_x and input-gradient GEMMs, as the backward pass
+    of :func:`upsample_repeat` sums the gradient's row pairs. This mirrors
+    :func:`upsample_conv1d_same`.
+    """
+    return _recurrence(x, (fwd, bwd), upsample=True)
 
 
 def softmax_time(z) -> Variable:

@@ -17,11 +17,13 @@ All variants end with a per-frame softmax read-out. Inputs whose length is
 not a multiple of 2**k are padded by repeating the final frame and outputs
 are trimmed back, so the output always has one row per input frame.
 
-A convolutional decoder layer's upsample and convolution run as one op,
-:func:`~actionseg.layers.upsample_conv1d_same`, which convolves the
-un-repeated input with merged kernels; the Bi-LSTM decoder layers repeat
-their input with ``upsample_repeat``. The layer table still lists the
-upsample and the convolution as two rows.
+A decoder layer's upsample and its convolution or Bi-LSTM run as one op
+that works at the input rate: :func:`~actionseg.layers.upsample_conv1d_same`
+convolves the un-repeated input with merged kernels, and
+:func:`~actionseg.layers.upsample_bilstm` projects the un-repeated input
+into the gates and repeats the projection. Neither builds the repeated
+input. The layer table still lists the upsample and the convolution or
+Bi-LSTM as two rows.
 
 Each variant is written once, as the ordered stage table that :func:`build`
 makes (``Model.table``, one :class:`Stage` per wiring layer). Parameter names
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -83,6 +86,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in ("input_dim", "num_classes", "k", "conv_len", "hidden", "seed"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{field} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if not 1 <= self.k <= 4:
@@ -263,13 +272,14 @@ def build(config: ModelConfig) -> Model:
         return ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
 
     def decode_lstm(v, training, rng, fwd, bwd):
-        v = ly.bilstm(ly.upsample_repeat(v), fwd, bwd)
+        # upsample -> bilstm as one op that projects the input at the input rate
+        v = ly.upsample_bilstm(v, fwd, bwd)
         return ly.dropout(v, cfg.dropout_lstm, rng, training)
 
     def decode_lstm_last(v, training, rng, fwd, bwd):
         # recurrent dropout sits between recurrent layers, not ahead of the
         # read-out; the last layer of the conv-free decoder skips it
-        return ly.bilstm(ly.upsample_repeat(v), fwd, bwd)
+        return ly.upsample_bilstm(v, fwd, bwd)
 
     table, width = [], cfg.input_dim
     for i in range(1, cfg.k + 1):

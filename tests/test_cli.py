@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import actionseg.layers
-from actionseg.cli import main, parse_run_config, parse_synth_config
+from actionseg.cli import _SYNTH_KEYS, RunConfig, _render, main, parse_run_config, parse_synth_config
 from actionseg.errors import ConfigError
 from actionseg.model import ModelConfig, build, save_checkpoint
 
@@ -216,6 +218,22 @@ def test_inspect_non_positive_ref_frames_exits_2(tmp_path, ref_frames, capsys):
     assert "reference length" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("field, value", [("k", 1.5), ("seed", -1), ("hidden", True)])
+def test_inspect_checkpoint_with_a_malformed_config_field_exits_2(tmp_path, field, value, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=2, num_classes=2, k=1, conv_len=2, hidden=2)), ckpt)
+    blob = ckpt.read_bytes()
+    start = len(b"ASEGCKP1") + 8
+    version, size = struct.unpack_from("<II", blob, start - 8)
+    config = json.loads(blob[start:start + size])
+    config[field] = value
+    raw = json.dumps(config, sort_keys=True).encode("utf-8")
+    ckpt.write_bytes(blob[:start - 8] + struct.pack("<II", version, len(raw)) + raw + blob[start + size:])
+    assert main(["inspect", "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert f"{field} must be" in captured.err and captured.out == ""
+
+
 def test_train_rerun_byte_identical_outputs(workdir):
     cfg = write_run_cfg(workdir, epochs=3)
     assert main(["train", "--config", str(cfg), "--out", str(workdir / "r1")]) == 0
@@ -278,6 +296,21 @@ def test_run_config_errors_name_the_section_and_key(tmp_path, text, named):
         parse_run_config(tmp_path / "run.cfg")
     for part in named:
         assert part in str(err.value)
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("train", "[data]\nmanifest = m.txt\nval_split = a\n  b\n", ["'val_split'", "[data]"]),
+    ("train", "[data]\nmanifest = m.txt\n[metrics]\nthresholds = 10,\n  25\n", ["'thresholds'", "[metrics]"]),
+    ("synth", "[synth]\nvideos = train:2,\n  test:1\n", ["'videos'", "[synth]"]),
+], ids=["string", "list", "synth"])
+def test_a_value_over_continuation_lines_exits_2(tmp_path, command, text, named, capsys):
+    # configparser joins continuation lines into one value, which resolved.cfg
+    # could not write back on one line
+    (tmp_path / "any.cfg").write_text(text)
+    assert main([command, "--config", str(tmp_path / "any.cfg"), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line break" in err and all(part in err for part in named)
+    assert not (tmp_path / "o" / "resolved.cfg").exists()
 
 
 def test_config_that_cannot_be_read_exits_2(tmp_path, capsys):
@@ -349,20 +382,25 @@ def config_bytes(sections, valid):
 VALID_RUN = RUN_CFG.format(manifest="m.txt", epochs=3, lr=0.01)
 
 
-@pytest.mark.parametrize("parse, sections, valid", [
-    (parse_run_config, RUN_LINES, VALID_RUN),
-    (parse_synth_config, SYNTH_LINES, SYNTH_CFG),
+@pytest.mark.parametrize("parse, render, sections, valid", [
+    (parse_run_config, RunConfig.render, RUN_LINES, VALID_RUN),
+    (parse_synth_config, lambda cfg: _render(_SYNTH_KEYS, lambda section: cfg), SYNTH_LINES, SYNTH_CFG),
 ], ids=["run.cfg", "synth.cfg"])
-def test_config_parsers_load_or_raise_config_error(tmp_path_factory, parse, sections, valid):
+def test_config_parsers_load_or_raise_config_error(tmp_path_factory, parse, render, sections, valid):
+    """Every input loads or raises ConfigError; what loads renders to text that parses back to it."""
     path = tmp_path_factory.mktemp("cfg") / "any.cfg"
+    resolved = path.with_name("resolved.cfg")
 
     @given(config_bytes(sections, valid))
     @example(valid.encode())
+    @example(valid.replace("val_split = test", "val_split = a\n  b").encode())
     def loads_or_raises_config_error(blob):
         path.write_bytes(blob)
         try:
-            parse(path)
+            config = parse(path)
         except ConfigError:
-            pass
+            return
+        resolved.write_text(render(config), encoding="utf-8")
+        assert parse(resolved) == config
 
     loads_or_raises_config_error()

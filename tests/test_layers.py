@@ -332,6 +332,100 @@ def test_bilstm_time_reversal_symmetry_exact():
     assert np.array_equal(lhs, swapped[::-1])
 
 
+def _reversed(v):
+    # time reversal as a product with the anti-identity, which is exact
+    return ad.matmul(Variable(np.eye(v.value.shape[0])[::-1].copy()), v)
+
+
+def _bilstm_composite(v, fwd, bwd):
+    return ad.concat(L.lstm_forward(v, fwd), _reversed(L.lstm_forward(_reversed(v), bwd)), axis=1)
+
+
+@given(s_len=st.integers(1, 12), channels=st.integers(1, 5), hidden=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(s_len=1, channels=1, hidden=1, seed=0)
+@example(s_len=12, channels=5, hidden=5, seed=1)
+def test_fused_bilstm_ops_equal_their_composites(s_len, channels, hidden, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(s_len, channels))
+    fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
+    blocks = [var for p in (fwd, bwd) for _, var in p.blocks()]
+    pairs = [(s_len, L.bilstm, _bilstm_composite),
+             (2 * s_len, L.upsample_bilstm, lambda v, f, b: L.bilstm(L.upsample_repeat(v), f, b))]
+    for t_len, fused, composite in pairs:
+        w = Variable(rng.normal(size=(t_len, 2 * hidden)))
+        results = []
+        for op in (fused, composite):
+            x = Variable(x0, trainable=True)
+            with ad.Tape() as tape:
+                out = op(x, fwd, bwd)
+                loss = sum_all(ad.mul(out, w))
+            tape.backward(loss)
+            results.append([out.value.data, x._grad] + [var._grad for var in blocks])
+            for var in blocks:
+                var.zero_grad()
+        assert len(results[0]) == 26
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (fused, got, want)
+
+
+def test_upsample_bilstm_checks_shapes():
+    with pytest.raises(ShapeError):
+        L.upsample_bilstm(Variable(np.ones(4)), lstm_params(3, 2), lstm_params(3, 2))
+    with pytest.raises(ShapeError):
+        L.upsample_bilstm(Variable(np.ones((4, 3))), lstm_params(3, 2), lstm_params(3, 2))
+    with pytest.raises(ShapeError):
+        L.upsample_bilstm(Variable(np.ones((4, 2))), lstm_params(3, 2), lstm_params(4, 2))
+
+
+def test_stacked_lstm_weights_follow_the_gate_tensors():
+    model = build(ModelConfig(input_dim=3, num_classes=2, variant="full", k=1, hidden=3, seed=4))
+    stage = model.table[1]
+    p, bwd = stage.blocks["dec1.lstm.fwd"], stage.blocks["dec1.lstm.bwd"]
+    x = Variable(np.random.default_rng(104).normal(size=(4, p.input_dim)))
+
+    def matches_reference(params):
+        fresh = L.LSTMParams(**{name: Variable(var.value.data.copy()) for name, var in params.blocks()})
+        got = L.upsample_bilstm(x, params, bwd).value.data
+        return np.array_equal(got, L.upsample_bilstm(x, fresh, bwd).value.data)
+
+    first = p.stacked()
+    assert not any(arr.flags.writeable for arr in first)
+    assert p.stacked() is first
+    adam_step([p.W_hf], [np.ones(p.W_hf.shape)], AdamState(lr=0.1))
+    second = p.stacked()
+    assert second is not first and not np.array_equal(second.wh_t, first.wh_t)
+    assert matches_reference(p)
+
+    for copy in (stage.swap("dec1.lstm.fwd.W_hf", Variable(p.W_hf.value)), stage.shadow()):
+        q = copy.blocks["dec1.lstm.fwd"]
+        assert q is not p
+        assert q.stacked() is not second
+        assert all(np.array_equal(a, b) for a, b in zip(q.stacked(), second))
+    doubled = stage.swap("dec1.lstm.fwd.W_xo", Variable(2.0 * p.W_xo.value.data)).blocks["dec1.lstm.fwd"]
+    assert matches_reference(doubled)
+    assert p.stacked() is second
+
+
+def test_upsample_bilstm_untaped_memory_stays_below_the_composite():
+    s_len, channels, hidden = 1000, 128, 64
+    rng = np.random.default_rng(105)
+    x = Variable(rng.normal(size=(s_len, channels)))
+    fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
+    tracemalloc.start()
+    try:
+        out = L.upsample_bilstm(x, fwd, bwd)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.value.shape == (2 * s_len, 2 * hidden)
+    # bilstm(upsample_repeat(x)) computed as two lstm_forward passes, with
+    # reversed copies and a concatenation, peaks at 16.9 MB at these sizes
+    # (stacked weights included); the fused op must not need more
+    assert peak < 16.9e6, peak / 1e6
+
+
 # softmax read-out
 
 
@@ -529,15 +623,23 @@ def test_lstm_gradients_match_finite_differences_from_nonzero_initial_states():
 
 
 def test_bilstm_gradient_matches_finite_differences():
+    # dx and every block of both directions, for the op and its upsampling form
     rng = np.random.default_rng(46)
     x0 = rng.normal(size=(5, 2))
-    fwd = lstm_params(2, 2, np.random.default_rng(47))
-    bwd = lstm_params(2, 2, np.random.default_rng(48))
-
-    def f(v):
-        out = L.bilstm(v, fwd, bwd)
-        return sum_all(ad.mul(out, out))
-    assert _fd(f, x0) <= 1e-5
+    units = {"fwd": lstm_params(2, 2, np.random.default_rng(47)),
+             "bwd": lstm_params(2, 2, np.random.default_rng(48))}
+    xvar = Variable(x0)
+    for op in (L.bilstm, L.upsample_bilstm):
+        def loss(v, fwd, bwd, op=op):
+            out = op(v, fwd, bwd)
+            return sum_all(ad.mul(out, out))
+        assert _fd(lambda v: loss(v, units["fwd"], units["bwd"]), x0) <= 1e-5, op
+        for direction, p in units.items():
+            for name, var in p.blocks():
+                def wrt_block(v, direction=direction, p=p, name=name, loss=loss):
+                    swapped = {**units, direction: L.LSTMParams(**{**dict(p.blocks()), name: v})}
+                    return loss(xvar, swapped["fwd"], swapped["bwd"])
+                assert _fd(wrt_block, var.value.data) <= 1e-5, (op, direction, name)
 
 
 def test_softmax_dense_gradients_match_finite_differences():

@@ -1,8 +1,15 @@
+import json
+import struct
 import sys
+import tempfile
 import threading
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from actionseg.autodiff import Tape, Variable
 from actionseg.errors import ConfigError, LoadError, ShapeError
@@ -231,6 +238,11 @@ def test_config_validation():
         toy_config(dropout_conv=1.0)
     with pytest.raises(ConfigError):
         toy_config(num_classes=1)
+    for field, value in [("k", 1.5), ("k", True), ("hidden", 4.0), ("conv_len", "3"),
+                         ("input_dim", None), ("num_classes", [2]), ("seed", -1), ("seed", 0.5),
+                         ("seed", False)]:
+        with pytest.raises(ConfigError, match=field):
+            toy_config(**{field: value})
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -282,6 +294,71 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\0" * 64)
     with pytest.raises(LoadError):
         load_checkpoint(path)
+
+
+@lru_cache(maxsize=None)
+def _checkpoint_parts(variant: str) -> tuple[bytes, dict, bytes]:
+    """(magic + version, config, tensor records) of a small model's checkpoint."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        save_checkpoint(build(ModelConfig(input_dim=2, num_classes=3, variant=variant, k=1,
+                                          conv_len=2, hidden=2, seed=5)), path)
+        blob = path.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 12)
+    return blob[:12], json.loads(blob[16:16 + size]), blob[16 + size:]
+
+
+def _checkpoint_bytes(variant: str, raw_config: bytes | None = None, **changes) -> bytes:
+    head, config, records = _checkpoint_parts(variant)
+    if raw_config is None:
+        raw_config = json.dumps({**config, **changes}, sort_keys=True).encode("utf-8")
+    return head + struct.pack("<I", len(raw_config)) + raw_config + records
+
+
+_JSON_VALUES = st.one_of(st.integers(-3, 40), st.floats(), st.booleans(), st.none(),
+                         st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+                         st.sampled_from(VARIANTS))
+
+
+@st.composite
+def _mutated_checkpoints(draw) -> bytes:
+    variant = draw(st.sampled_from(VARIANTS))
+    _, config, _ = _checkpoint_parts(variant)
+    config = dict(config)
+    for key in draw(st.lists(st.sampled_from(sorted(config) + ["extra"]), max_size=3)):
+        if draw(st.booleans()):
+            config[key] = draw(_JSON_VALUES)
+        else:
+            config.pop(key, None)
+    raw = json.dumps(config, sort_keys=True).encode("utf-8")
+    raw = draw(st.one_of(st.just(raw), st.binary(max_size=24)))
+    blob = bytearray(_checkpoint_bytes(variant, raw))
+    # byte edits in the header, the config block or the first records, where
+    # the sizes, names and shapes sit; a cut; stray bytes at the end
+    regions = [(lo, hi) for lo, hi in [(6, 16), (16, 16 + len(raw)), (16 + len(raw), len(blob))]
+               if hi > lo]
+    for lo, hi in draw(st.lists(st.sampled_from(regions), max_size=3)):
+        blob[draw(st.integers(lo, min(hi, lo + 64) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    return bytes(blob[:cut]) + draw(st.binary(max_size=8))
+
+
+def test_checkpoint_bytes_load_or_raise_load_error(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+
+    @given(_mutated_checkpoints())
+    @example(_checkpoint_bytes("full", k=1.5))
+    @example(_checkpoint_bytes("low", seed=-1))
+    @example(_checkpoint_bytes("high", hidden=True))
+    @example(_checkpoint_bytes("conv_only", raw_config=b"[1, 2]"))
+    def loads_or_raises_load_error(blob):
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except LoadError:
+            pass
+
+    loads_or_raises_load_error()
 
 
 def test_format_describe_mentions_every_stage():
