@@ -300,10 +300,10 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     error per coordinate is |analytic - numeric| / max(|analytic|, |numeric|,
     1e-8); the maximum over coordinates is returned.
 
-    Every evaluation receives its own Tensor object, so a cache keyed on a
-    tensor's identity (``Conv1DParams.merged_kernels``) never sees one
-    object with two values. The probes' tensors share one read-only view of
-    a single buffer, so no data is copied per probe.
+    Every evaluation receives its own Tensor object, so a memo keyed on
+    tensor identity (``layers._memo``) never sees one object with two
+    values. The probes' tensors share one read-only view of a single
+    buffer, so no data is copied per probe.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
@@ -318,9 +318,7 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     analytic = (np.zeros(x.shape) if vx._grad is None else vx._grad).ravel()
 
     # One reusable probe buffer: with no tape active nothing reads it again
-    # after an evaluation, so mutating it in place is safe. A cache keyed on
-    # tensor identity may still hold an earlier probe's tensor, but every
-    # evaluation gets a new one, so such a cache is never hit by a probe.
+    # after an evaluation, so mutating it in place is safe.
     work = x.data.copy()
     flat = work.ravel()
     view = work.view()

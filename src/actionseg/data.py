@@ -145,6 +145,23 @@ def save_dataset(dataset: Dataset, out_dir, binary: bool = False) -> Path:
     return out / "manifest.txt"
 
 
+def _read(path: Path) -> bytes:
+    """The whole file; a file that cannot be read is a :class:`LoadError`."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise LoadError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
+def _read_text(path: Path, blob: bytes | None = None) -> str:
+    """The file's text, from ``blob`` if already read; bytes not UTF-8 are a :class:`LoadError`."""
+    blob = _read(path) if blob is None else blob
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 (byte {exc.start})") from exc
+
+
 def _parse_manifest(path: Path) -> DatasetManifest:
     keys: dict[str, str] = {}
     splits: dict[str, list[str]] = {}
@@ -152,7 +169,7 @@ def _parse_manifest(path: Path) -> DatasetManifest:
     seen_anywhere: dict[str, str] = {}
     shared = False
 
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -216,8 +233,8 @@ def _parse_manifest(path: Path) -> DatasetManifest:
                            background=background, shared_splits=shared)
 
 
-def _load_features_text(path: Path) -> np.ndarray:
-    lines = path.read_text().splitlines()
+def _load_features_text(path: Path, text: str) -> np.ndarray:
+    lines = text.splitlines()
     if not lines:
         raise LoadError(f"{path}:1: empty feature file")
     head = lines[0].split()
@@ -227,8 +244,15 @@ def _load_features_text(path: Path) -> np.ndarray:
         t_len, dim = int(head[0]), int(head[1])
     except ValueError as exc:
         raise LoadError(f"{path}:1: non-integer header {lines[0]!r}") from exc
-    if len(lines) - 1 < t_len:
+    if t_len < 1 or dim < 1:
+        raise LoadError(f"{path}:1: header sizes must be positive, got {lines[0]!r}")
+    if len(lines) - 1 != t_len:
         raise LoadError(f"{path}: header promises {t_len} rows, file has {len(lines) - 1}")
+    # every value takes a character and a separator, so this bounds the
+    # array allocated below by the size of the text
+    if 2 * t_len * dim > len(text):
+        raise LoadError(f"{path}: header promises {t_len}x{dim} values, "
+                        f"more than {len(text)} characters can hold")
     out = np.empty((t_len, dim), dtype=np.float64)
     for i in range(t_len):
         parts = lines[1 + i].split()
@@ -243,8 +267,7 @@ def _load_features_text(path: Path) -> np.ndarray:
     return out
 
 
-def _load_features_binary(path: Path) -> np.ndarray:
-    blob = path.read_bytes()
+def _load_features_binary(path: Path, blob: bytes) -> np.ndarray:
     if blob[:4] != _FEATURE_MAGIC:
         raise LoadError(f"{path}: bad magic {blob[:4]!r}, expected {_FEATURE_MAGIC!r}")
     if len(blob) < 16:
@@ -252,6 +275,8 @@ def _load_features_binary(path: Path) -> np.ndarray:
     version, t_len, dim = struct.unpack("<III", blob[4:16])
     if version != _FEATURE_VERSION:
         raise LoadError(f"{path}: unsupported feature file version {version}")
+    if t_len < 1 or dim < 1:
+        raise LoadError(f"{path}: header sizes must be positive, got {t_len}x{dim}")
     expected = 16 + 8 * t_len * dim
     if len(blob) != expected:
         raise LoadError(f"{path}: expected {expected} bytes, found {len(blob)}")
@@ -263,7 +288,7 @@ def _load_features_binary(path: Path) -> np.ndarray:
 
 def _load_labels(path: Path, num_classes: int) -> np.ndarray:
     values = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -282,19 +307,15 @@ def _load_labels(path: Path, num_classes: int) -> np.ndarray:
 def load_features(path) -> Tensor:
     """Load one feature file, text or packed binary (sniffed by magic bytes)."""
     path = Path(path)
-    if not path.exists():
-        raise LoadError(f"{path}: no such file")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    arr = _load_features_binary(path) if magic == _FEATURE_MAGIC else _load_features_text(path)
-    return Tensor._wrap(arr)
+    blob = _read(path)
+    if blob[:4] == _FEATURE_MAGIC:
+        return Tensor._wrap(_load_features_binary(path, blob))
+    return Tensor._wrap(_load_features_text(path, _read_text(path, blob)))
 
 
 def load_dataset(manifest_path) -> Dataset:
     """Load and validate a dataset; errors name the offending file and line."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise LoadError(f"{manifest_path}: no such file")
     manifest = _parse_manifest(manifest_path)
     base = manifest_path.parent
 
@@ -308,10 +329,10 @@ def load_dataset(manifest_path) -> Dataset:
             if txt.exists() and bin_.exists():
                 raise LoadError(f"{base}: sample {sid!r} has both {txt.name} and {bin_.name}")
             if txt.exists():
-                feats = _load_features_text(txt)
+                feats = _load_features_text(txt, _read_text(txt))
                 fname = txt
             elif bin_.exists():
-                feats = _load_features_binary(bin_)
+                feats = _load_features_binary(bin_, _read(bin_))
                 fname = bin_
             else:
                 raise LoadError(f"{base}: missing features file for sample {sid!r}")

@@ -7,6 +7,10 @@ active tape. Every rule here is validated against central finite differences
 in the test suite; that check is the master numerical invariant of the
 project.
 
+Each loop is written once: both convolutions run on :func:`_convolution`
+and all LSTM ops on :func:`_recurrence`. The rearranged weights those loops
+read are memoized on their parameters by :func:`_memo`.
+
 Non-differentiable points are handled deterministically: the rectifier uses
 subgradient 0 at exactly 0, and max pooling (and the rectifier's layer-wide
 maximum) route their gradient to the earliest maximal index.
@@ -14,6 +18,7 @@ maximum) route their gradient to the earliest maximal index.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -49,16 +54,7 @@ NORM_RELU_EPS = 1e-5
 
 @dataclass
 class Conv1DParams:
-    """A bank of 1D filters: kernels (filters, in_channels, width), bias (filters,).
-
-    :meth:`merged_kernels` caches the kernels that
-    :func:`upsample_conv1d_same` runs on, keyed on the identity of the
-    kernel tensor. Tensors are immutable, so the cache is current exactly
-    while ``kernels.value`` is the tensor it was built from: ``adam_step``
-    installs a new tensor, so training merges once per step, and the copies
-    that ``dataclasses.replace`` makes (``Stage.swap``, ``Stage.shadow``)
-    start with no cache.
-    """
+    """A bank of 1D filters: kernels (filters, in_channels, width), bias (filters,)."""
 
     kernels: Variable
     bias: Variable
@@ -88,19 +84,37 @@ class Conv1DParams:
 
         Row block r of entry d sums the taps through which output phase r of
         an upsampled convolution reads input offset d (:func:`_phase_taps`).
+        Memoized on the kernel tensor (:func:`_memo`).
         """
-        kt = self.kernels.value
-        cached = self.__dict__.get("_merged")
-        if cached is not None and cached[0] is kt:
-            return cached[1]
-        filters, cin, width = kt.shape
-        taps, _ = _phase_taps(width)
-        merged = (taps @ kt.data.reshape(filters * cin, width).T).reshape(-1, 2 * filters, cin)
-        merged.flags.writeable = False
-        # the key is held, so its id cannot be reused; one assignment, so a
-        # concurrent caller sees either the old pair or the new one
-        self._merged = (kt, merged)
-        return merged
+        return _memo(self, "_merged", (self.kernels.value,), _merge_taps)
+
+
+def _merge_taps(kt: Tensor) -> np.ndarray:
+    filters, cin, width = kt.shape
+    taps, _ = _phase_taps(width)
+    return (taps @ kt.data.reshape(filters * cin, width).T).reshape(-1, 2 * filters, cin)
+
+
+def _memo(owner, slot: str, key: tuple, build):
+    """``build(*key)``, kept on ``owner`` as ``slot`` while the key's tensors stay.
+
+    Keys are tuples of tensors, matched by identity; tensors are immutable,
+    so an entry is current exactly while the parameters hold its tensors.
+    ``adam_step`` installs new ones, so training rebuilds once per step, and
+    the copies ``dataclasses.replace`` makes (``Stage.swap``,
+    ``Stage.shadow``) and every ``finite_diff_check`` probe start afresh.
+    The key is held, so no id in it can be reused; key and value are stored
+    in one assignment, so a concurrent caller sees the old pair or the new
+    one; and the value's arrays are read-only.
+    """
+    cached = owner.__dict__.get(slot)
+    if cached is not None and all(map(operator.is_, cached[0], key)):
+        return cached[1]
+    value = build(*key)
+    for arr in value if isinstance(value, tuple) else (value,):
+        arr.flags.writeable = False
+    setattr(owner, slot, (key, value))
+    return value
 
 
 @dataclass
@@ -110,13 +124,6 @@ class LSTMParams:
     Input weights W_x* are (hidden, in_dim), recurrent weights W_h* are
     (hidden, hidden), biases are (hidden,); the gate order everywhere is
     input, forget, output, candidate.
-
-    :meth:`stacked` caches the gate weights stacked the way the recurrence
-    reads them, keyed on the identity of all 12 tensors, as
-    :meth:`Conv1DParams.merged_kernels` caches its merge: ``adam_step``
-    installs new tensors, so training stacks once per step, and the copies
-    that ``dataclasses.replace`` makes (``Stage.swap``, ``Stage.shadow``)
-    start with no cache.
     """
 
     W_xi: Variable
@@ -151,19 +158,12 @@ class LSTMParams:
         return [(n, getattr(self, n)) for n in LSTM_FIELDS]
 
     def stacked(self) -> "StackedGates":
-        """The gate weights stacked gate by gate, read-only (see :class:`StackedGates`)."""
-        key = tuple(getattr(self, n).value for n in LSTM_FIELDS)
-        cached = self.__dict__.get("_stacked")
-        if cached is not None and all(a is b for a, b in zip(cached[0], key)):
-            return cached[1]
-        wx, wh, b = (np.concatenate([t.data for t in key[i:i + 4]]) for i in (0, 4, 8))
-        stacked = StackedGates(wx, b, np.ascontiguousarray(wh.T))
-        for arr in stacked:
-            arr.flags.writeable = False
-        # the key is held, so no id in it can be reused; one assignment, so a
-        # concurrent caller sees either the old pair or the new one
-        self._stacked = (key, stacked)
-        return stacked
+        """The gate weights stacked gate by gate, read-only (see :class:`StackedGates`).
+
+        Memoized on all 12 tensors (:func:`_memo`).
+        """
+        return _memo(self, "_stacked", tuple(getattr(self, n).value for n in LSTM_FIELDS),
+                     _stack_gates)
 
 
 class StackedGates(NamedTuple):
@@ -178,6 +178,11 @@ class StackedGates(NamedTuple):
     wx: np.ndarray
     b: np.ndarray
     wh_t: np.ndarray
+
+
+def _stack_gates(*gates: Tensor) -> StackedGates:
+    wx, wh, b = (np.concatenate([t.data for t in gates[i:i + 4]]) for i in (0, 4, 8))
+    return StackedGates(wx, b, np.ascontiguousarray(wh.T))
 
 
 # The LSTMParams field names in declaration order: W_x*, W_h*, b_*, each in
@@ -204,63 +209,27 @@ def conv1d_same(x, p: Conv1DParams) -> Variable:
 
     out[t, j] = bias[j] + sum over (ch, tau) of kernels[j, ch, tau] *
     padded_x[t + tau, ch], with width//2 zeros on the left and the remainder
-    on the right. It is computed as one GEMM per kernel tap (kn2row):
-    out = bias + sum over tau of padded_x[tau:tau+T] @ kernels[:, :, tau].T,
-    on shifted views of the padded input, so no (T, in_channels*width) patch
-    matrix is built. The backward pass runs the same per-tap GEMMs: each
-    tap's kernel gradient is g.T @ padded_x[tau:tau+T], and the input
-    gradient adds g @ kernels[:, :, tau] into rows tau:tau+T of the padded
-    input's gradient. An input that is a leaf and not trainable gets no
-    gradient, so its GEMMs are skipped.
+    on the right: the one-phase case of :func:`_convolution`, whose offsets
+    are the taps, with M[tau] = kernels[:, :, tau], a view.
     """
-    x, xd = _conv_input(x, p)
-    t_len, cin = xd.shape
-    filters, _, width = p.kernels.value.shape
-    left = width // 2
-    kd = p.kernels.value.data
-
-    padded = np.zeros((t_len + width - 1, cin), dtype=np.float64)
-    padded[left:left + t_len] = xd
-    out_arr = padded[:t_len] @ kd[:, :, 0].T
-    tap = np.empty_like(out_arr)
-    for tau in range(1, width):
-        out_arr += np.matmul(padded[tau:tau + t_len], kd[:, :, tau].T, out=tap)
-    out_arr += p.bias.value.data
-    out = Variable(Tensor._wrap(out_arr))
-
-    if taping():
-        kernels, bias = p.kernels, p.bias
-        wants_dx = _wants_grad(x)
-        def bw(g):
-            dk = np.empty((width, filters, cin), dtype=np.float64)
-            dpadded = np.zeros_like(padded) if wants_dx else None
-            tap = np.empty((t_len, cin), dtype=np.float64)
-            for tau in range(width):
-                rows = slice(tau, tau + t_len)
-                np.matmul(g.T, padded[rows], out=dk[tau])
-                if wants_dx:
-                    dpadded[rows] += np.matmul(g, kd[:, :, tau], out=tap)
-            ad._accum(kernels, dk.transpose(1, 2, 0))
-            ad._accum(bias, g.sum(axis=0))
-            if wants_dx:
-                ad._accum(x, dpadded[left:left + t_len])
-        record(out, (x, kernels, bias), bw)
-    return out
+    return _convolution(x, p, upsample=False)
 
 
-def _conv_input(x, p: Conv1DParams) -> tuple[Variable, np.ndarray]:
-    x = as_variable(x)
-    xd = x.value.data
-    if xd.ndim != 2:
-        raise ShapeError(f"conv input must be (frames, channels), got shape {x.value.shape}")
-    if xd.shape[1] != p.in_channels:
-        raise ShapeError(f"conv channel mismatch: input has {xd.shape[1]}, kernels expect {p.in_channels}")
-    return x, xd
+def upsample_conv1d_same(x, p: Conv1DParams) -> Variable:
+    """``conv1d_same(upsample_repeat(x), p)``, computed at the input rate.
+
+    Output frames 2m and 2m+1 read only input frames m+d, so the taps that
+    land on the same input frame are summed first, into
+    ``p.merged_kernels()``: the two-phase case of :func:`_convolution`.
+    Width 30 takes 16 GEMMs on S rows instead of 30 on 2S rows, and the
+    repeated input is never built.
+    """
+    return _convolution(x, p, upsample=True)
 
 
 def _wants_grad(x: Variable) -> bool:
-    # a leaf that is not trainable reports no gradient (see Variable), so a
-    # convolution skips the GEMMs of its input gradient
+    # a leaf that is not trainable reports no gradient (see Variable), so an
+    # op skips the GEMMs of its input gradient
     return x.trainable or bool(x.parents)
 
 
@@ -285,37 +254,43 @@ def _phase_taps(width: int) -> tuple[np.ndarray, int]:
     return taps.reshape(-1, width), left
 
 
-def upsample_conv1d_same(x, p: Conv1DParams) -> Variable:
-    """``conv1d_same(upsample_repeat(x), p)``, computed at the input rate.
+def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
+    """Both convolutions: one GEMM per input offset d, forward and backward.
 
-    Output frames 2m and 2m+1 read only input frames m+d, so the taps that
-    land on the same input frame are summed first, into
-    ``p.merged_kernels()`` (offsets, 2*filters, in_channels). One GEMM per
-    offset, padded_x[d:d+S] @ merged[d].T, then gives both output phases side
-    by side: an (S, 2*filters) result whose row-major reshape is the
-    (2S, filters) output, with no copy. Width 30 takes 16 GEMMs on S rows
-    instead of 30 on 2S rows, and the repeated input is never built. The
-    backward pass runs the same per-offset GEMMs (merged-kernel gradient
-    g2.T @ padded_x[d:d+S], input gradient g2 @ merged[d] with g2 the
-    (S, 2*filters) view of the output gradient) and folds the merged-kernel
-    gradient back onto the taps with one GEMM of the phase map. As in
-    :func:`conv1d_same`, an input that is a leaf and not trainable gets no
-    gradient.
+    out = bias + sum over d of padded_x[d:d+S] @ M[d].T, with M (offsets,
+    phases*filters, in_channels) and ``left`` zero rows before the S input
+    rows; the (S, phases*filters) sum, reshaped, is the (phases*S, filters)
+    output. The operands are shifted views, so no patch matrix is built
+    (kn2row). One phase: M is the kernels viewed tap-major and ``left`` is
+    width//2. ``upsample``, two phases: M is ``p.merged_kernels()`` and
+    ``left`` comes from :func:`_phase_taps`. The backward pass runs the same
+    GEMMs on the output gradient g viewed as (S, phases*filters): M's
+    gradient g.T @ padded_x[d:d+S], and g @ M[d] added into rows d:d+S of
+    the input gradient, which an untrainable leaf does not get. M's gradient
+    folds onto the taps by a transposed view, or one GEMM with the phase map.
     """
-    x, xd = _conv_input(x, p)
+    x = as_variable(x)
+    xd = x.value.data
+    if xd.ndim != 2:
+        raise ShapeError(f"conv input must be (frames, channels), got shape {x.value.shape}")
+    if xd.shape[1] != p.in_channels:
+        raise ShapeError(f"conv channel mismatch: input has {xd.shape[1]}, kernels expect {p.in_channels}")
     s_len, cin = xd.shape
     filters, _, width = p.kernels.value.shape
-    taps, left = _phase_taps(width)
-    merged = p.merged_kernels()
-    offsets = merged.shape[0]
+    if upsample:
+        taps, left = _phase_taps(width)
+        m = p.merged_kernels()
+    else:
+        left, m = width // 2, p.kernels.value.data.transpose(2, 0, 1)
+    offsets = m.shape[0]
 
     padded = np.zeros((s_len + offsets - 1, cin), dtype=np.float64)
     padded[left:left + s_len] = xd
-    out_arr = padded[:s_len] @ merged[0].T
+    out_arr = padded[:s_len] @ m[0].T
     tap = np.empty_like(out_arr)
     for d in range(1, offsets):
-        out_arr += np.matmul(padded[d:d + s_len], merged[d].T, out=tap)
-    out_arr = out_arr.reshape(2 * s_len, filters)
+        out_arr += np.matmul(padded[d:d + s_len], m[d].T, out=tap)
+    out_arr = out_arr.reshape(-1, filters)
     out_arr += p.bias.value.data
     out = Variable(Tensor._wrap(out_arr))
 
@@ -323,17 +298,20 @@ def upsample_conv1d_same(x, p: Conv1DParams) -> Variable:
         kernels, bias = p.kernels, p.bias
         wants_dx = _wants_grad(x)
         def bw(g):
-            g2 = g.reshape(s_len, 2 * filters)
-            dm = np.empty_like(merged)
+            g_s = g.reshape(s_len, -1)
+            dm = np.empty(m.shape, dtype=np.float64)
             dpadded = np.zeros_like(padded) if wants_dx else None
             tap = np.empty((s_len, cin), dtype=np.float64)
             for d in range(offsets):
                 rows = slice(d, d + s_len)
-                np.matmul(g2.T, padded[rows], out=dm[d])
+                np.matmul(g_s.T, padded[rows], out=dm[d])
                 if wants_dx:
-                    dpadded[rows] += np.matmul(g2, merged[d], out=tap)
-            dk = dm.reshape(2 * offsets, filters * cin).T @ taps
-            ad._accum(kernels, dk.reshape(filters, cin, width))
+                    dpadded[rows] += np.matmul(g_s, m[d], out=tap)
+            if upsample:
+                dk = (dm.reshape(2 * offsets, filters * cin).T @ taps).reshape(filters, cin, width)
+            else:
+                dk = dm.transpose(1, 2, 0)
+            ad._accum(kernels, dk)
             ad._accum(bias, g.sum(axis=0))
             if wants_dx:
                 ad._accum(x, dpadded[left:left + s_len])

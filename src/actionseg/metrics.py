@@ -4,8 +4,7 @@ Three scores are produced: frame-wise accuracy, a segmental edit score that
 penalizes over-segmentation (100 minus the normalized Levenshtein distance
 between the segment class strings), and a segmental overlap F1 at one or
 more IoU thresholds. Background segments are dropped from the two segmental
-scores by default while background frames still count toward accuracy; both
-behaviors are switchable.
+scores, while background frames still count toward accuracy.
 
 All functions are pure and safe to call concurrently.
 """
@@ -183,13 +182,12 @@ def _fmt_thr(k: float) -> str:
 
 
 def evaluate(preds, gts, thresholds=(10, 25, 50), background: int | None = None,
-             ids=None, exclude_background_segments: bool = True,
-             count_background_frames: bool = True) -> MetricsReport:
+             ids=None) -> MetricsReport:
     """Score a corpus of predictions against references.
 
     ``preds`` and ``gts`` are parallel lists of per-frame label sequences of
     matching lengths. ``background`` marks the class excluded from segmental
-    scoring (and, when ``count_background_frames`` is off, from accuracy).
+    scoring; its frames still count toward accuracy.
     """
     preds = list(preds)
     gts = list(gts)
@@ -197,7 +195,6 @@ def evaluate(preds, gts, thresholds=(10, 25, 50), background: int | None = None,
         raise ContractError(f"corpus mismatch: {len(preds)} predictions vs {len(gts)} references")
     if ids is None:
         ids = [str(i) for i in range(len(preds))]
-    seg_bg = background if exclude_background_segments else None
 
     equal = 0
     total = 0
@@ -206,15 +203,10 @@ def evaluate(preds, gts, thresholds=(10, 25, 50), background: int | None = None,
         pred = np.asarray(pred)
         gt = np.asarray(gt)
         acc = frame_accuracy(pred, gt)
-        keep = np.ones(gt.size, dtype=bool)
-        if background is not None and not count_background_frames:
-            keep = gt != background
-            acc = (100.0 * float(np.count_nonzero((pred == gt) & keep)) / keep.sum()
-                   if keep.any() else 100.0)
-        equal += int(np.count_nonzero((pred == gt) & keep))
-        total += int(keep.sum())
-        pseg = segments_from_labels(pred, seg_bg)
-        gseg = segments_from_labels(gt, seg_bg)
+        equal += int(np.count_nonzero(pred == gt))
+        total += gt.size
+        pseg = segments_from_labels(pred, background)
+        gseg = segments_from_labels(gt, background)
         per_sequence.append(SequenceScores(
             sample_id=str(sid),
             accuracy=acc,

@@ -208,7 +208,6 @@ def predict(model: Model, x) -> np.ndarray:
 
 
 def train(model: Model, train_set, val_set, epochs: int, seed: int = 0, lr: float = 1e-3,
-          beta1: float = 0.9, beta2: float = 0.999, adam_eps: float = 1e-8,
           thresholds=(10, 25, 50), background: int | None = None,
           checkpoint_path=None, early_stop_train_acc: float | None = None) -> TrainReport:
     """Optimize the model on ``train_set``, scoring ``val_set`` each epoch.
@@ -226,7 +225,7 @@ def train(model: Model, train_set, val_set, epochs: int, seed: int = 0, lr: floa
     ss = np.random.SeedSequence(seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(child) for child in ss.spawn(2))
     params = list(model.params.values())
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=adam_eps)
+    state = AdamState(lr=lr)
 
     def validate() -> MetricsReport:
         with np.errstate(all="ignore"):

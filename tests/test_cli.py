@@ -173,6 +173,27 @@ def test_predict_non_utf8_parameter_name_exits_2(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("features, labels, named", [
+    ("dir", None, "cannot read"),
+    ("latin1", None, "not UTF-8"),
+    ("ok", "dir", "cannot read"),
+    ("ok", "latin1", "not UTF-8"),
+], ids=["features-dir", "features-latin1", "labels-dir", "labels-latin1"])
+def test_predict_unreadable_or_non_utf8_dataset_file_exits_2(tmp_path, features, labels, named, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=2, num_classes=2, k=1, conv_len=2, hidden=2)), ckpt)
+    files = {"dir": tmp_path / "d", "latin1": tmp_path / "x.latin1.txt", "ok": tmp_path / "x.features.txt"}
+    files["dir"].mkdir()
+    files["latin1"].write_bytes("café\n".encode("latin-1"))
+    files["ok"].write_text("2 2\n0.0 0.0\n1.0 1.0\n")
+    argv = ["predict", "--checkpoint", str(ckpt), "--features", str(files[features]),
+            "--out", str(tmp_path / "o")]
+    if labels is not None:
+        argv += ["--labels", str(files[labels])]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_gradcheck_passes_on_small_config(capsys):
     rc = main(["gradcheck", "--variant", "full", "--depth", "1", "--frames", "4", "--dim", "2",
                "--classes", "2", "--conv-len", "2", "--hidden", "2",

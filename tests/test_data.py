@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from actionseg.data import (Dataset, DatasetManifest, SequenceSample, SynthConfig,
                             ambiguous_frame_fraction, export_timeline, frame_local_ceiling,
@@ -110,6 +114,115 @@ def test_split_lookup_missing_name():
     ds = small_dataset()
     with pytest.raises(LoadError):
         ds.split("validation")
+
+
+@pytest.mark.parametrize("name", ["manifest.txt", "s1.features.txt", "s1.labels.txt"])
+def test_non_utf8_dataset_file_raises_load_error(tmp_path, name):
+    save_dataset(small_dataset(), tmp_path)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    with pytest.raises(LoadError, match="not UTF-8"):
+        load_dataset(tmp_path / "manifest.txt")
+
+
+def test_unreadable_dataset_file_raises_load_error(tmp_path):
+    manifest_path = save_dataset(small_dataset(), tmp_path / "ds")
+    for path in (tmp_path / "nope.txt", tmp_path):
+        with pytest.raises(LoadError, match="cannot read"):
+            load_features(path)
+        with pytest.raises(LoadError, match="cannot read"):
+            load_dataset(path)
+    (tmp_path / "ds" / "s0.labels.txt").unlink()
+    (tmp_path / "ds" / "s0.labels.txt").mkdir()
+    with pytest.raises(LoadError, match="cannot read"):
+        load_dataset(manifest_path)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("2 2\n0.0 1.0\n1.0 0.0\n2.0 2.0\n", "header promises 2 rows, file has 3"),
+    ("2 2\n0.0 1.0\n", "header promises 2 rows, file has 1"),
+    ("0 2\n", "header sizes must be positive"),
+    ("1 -2\n0.0\n", "header sizes must be positive"),
+    ("1 99999999999\n0.0\n", "header promises 1x99999999999 values"),
+], ids=["extra-row", "missing-row", "no-rows", "negative-width", "huge-width"])
+def test_text_features_must_match_their_header(tmp_path, text, named):
+    path = tmp_path / "x.features.txt"
+    path.write_text(text)
+    with pytest.raises(LoadError) as err:
+        load_features(path)
+    assert str(path) in str(err.value) and named in str(err.value)
+
+
+# every dataset parser loads its input or raises LoadError, whatever the bytes
+
+
+def _line_bytes(pool, base):
+    """Bytes built from ``pool`` lines and random text, edits of ``base``, or random bytes."""
+    line = st.one_of(st.sampled_from(pool), st.text(max_size=12))
+    text = st.one_of(st.lists(line, max_size=10).map("\n".join),
+                     st.tuples(st.integers(0, len(base) - 1), line).map(
+                         lambda edit: "\n".join(base[:edit[0]] + [edit[1]] + base[edit[0] + 1:])))
+    blob = text.map(str.encode)
+    spliced = st.tuples(blob, st.binary(min_size=1, max_size=3), st.integers(0, 80)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+    return st.one_of(st.binary(max_size=80), blob, spliced)
+
+
+_FEATURE_LINES = ["2 2", "3 2", "1 2", "0 2", "2 0", "1 -1", "2", "2 2 2", "x 2",
+                  "1 99999999999", "0.5 1.0", "1 2 3", "nan 1", "1e400 0", "", "-0 7"]
+_LABEL_LINES = ["0", "1", "2", "3", "-1", "1.5", "x", "", " 1 "]
+_MANIFEST_LINES = ["version = 1", "version = 2", "feature_dim = 2", "feature_dim = 0",
+                   "feature_dim = x", "classes = a,b,c", "classes = a", "classes = a,,b",
+                   "background = 1", "background = 9", "background = b", "shared_splits = allow",
+                   "shared_splits = maybe", "[split train]", "[split test]", "[split]", "[other x]",
+                   "s0", "s1", "gone", "# note", "", "wibble = 1", "no equals"]
+
+
+@st.composite
+def _tric_bytes(draw) -> bytes:
+    version = draw(st.sampled_from([0, 1, 1, 2]))
+    t_len, dim = draw(st.integers(0, 3)), draw(st.sampled_from([0, 1, 2, 2 ** 32 - 1]))
+    values = draw(st.lists(st.floats(), min_size=t_len * dim if dim < 4 else 0, max_size=6))
+    blob = b"TRIC" + struct.pack("<III", version, t_len, dim) + struct.pack(f"<{len(values)}d", *values)
+    cut = draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    return blob[:cut] + draw(st.binary(max_size=4))
+
+
+def _valid_pair(directory):
+    """Write samples s0 (text features) and s1 (binary features): 2 frames, 2 dims, classes < 3."""
+    for sid, binary in (("s0", False), ("s1", True)):
+        sample = SequenceSample(sid, Tensor(np.eye(2)), np.array([0, 2]))
+        manifest = DatasetManifest(["a", "b", "c"], 2, {"all": [sid]})
+        save_dataset(Dataset(manifest, {sid: sample}), directory, binary=binary)
+
+
+@pytest.mark.parametrize("kind", ["tric", "text-features", "labels", "manifest"])
+def test_dataset_parsers_load_or_raise_load_error(tmp_path, kind):
+    _valid_pair(tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("version = 1\nfeature_dim = 2\nclasses = a,b,c\n\n[split train]\ns0\ns1\n")
+    target, load, pool = {
+        "tric": ("s1.features.bin", lambda: load_features(tmp_path / "s1.features.bin"), None),
+        "text-features": ("s0.features.txt", lambda: load_features(tmp_path / "s0.features.txt"),
+                          _FEATURE_LINES),
+        "labels": ("s0.labels.txt", lambda: load_dataset(manifest), _LABEL_LINES),
+        "manifest": ("manifest.txt", lambda: load_dataset(manifest), _MANIFEST_LINES),
+    }[kind]
+    valid = (tmp_path / target).read_bytes()
+    load()
+    strategy = _tric_bytes() if pool is None else _line_bytes(pool, valid.decode().splitlines())
+
+    @given(strategy)
+    @example(valid)
+    @example(valid + b"\xff")
+    def loads_or_raises_load_error(blob):
+        (tmp_path / target).write_bytes(blob)
+        try:
+            load()
+        except LoadError:
+            pass
+
+    loads_or_raises_load_error()
 
 
 # synthetic generator

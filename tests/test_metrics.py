@@ -185,5 +185,3 @@ def test_background_excluded_from_segments_but_counted_in_accuracy():
     assert rep.accuracy == 75.0
     segs = segments_from_labels(gt[0], background=bg)
     assert all(s.label != bg for s in segs)
-    rep2 = evaluate(pred, gt, background=bg, count_background_frames=False)
-    assert rep2.accuracy == 50.0
