@@ -100,19 +100,20 @@ def _memo(owner, slot: str, key: tuple, build):
 
     Keys are tuples of tensors, matched by identity; tensors are immutable,
     so an entry is current exactly while the parameters hold its tensors.
-    ``adam_step`` installs new ones, so training rebuilds once per step, and
-    the copies ``dataclasses.replace`` makes (``Stage.swap``,
-    ``Stage.shadow``) and every ``finite_diff_check`` probe start afresh.
-    The key is held, so no id in it can be reused; key and value are stored
-    in one assignment, so a concurrent caller sees the old pair or the new
-    one; and the value's arrays are read-only.
+    ``adam_step`` installs new ones, so training rebuilds once per step. The
+    entry lives in the owner's ``__dict__`` and nowhere else, so a block
+    copied field by field (``Stage.swap``, ``Stage.shadow``) starts with no
+    entry, and every ``finite_diff_check`` probe, whose tensor is new, builds
+    afresh. The key is held, so no id in it can be reused; key and value are
+    stored in one assignment, so a concurrent caller sees the old pair or the
+    new one; and the value's arrays are read-only.
     """
     cached = owner.__dict__.get(slot)
     if cached is not None and all(map(operator.is_, cached[0], key)):
         return cached[1]
     value = build(*key)
     for arr in value if isinstance(value, tuple) else (value,):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     setattr(owner, slot, (key, value))
     return value
 
@@ -162,17 +163,17 @@ class LSTMParams:
 
         Memoized on all 12 tensors (:func:`_memo`).
         """
-        return _memo(self, "_stacked", tuple(getattr(self, n).value for n in LSTM_FIELDS),
-                     _stack_gates)
+        return _memo(self, "_stacked", _LSTM_TENSORS(self), _stack_gates)
 
 
 class StackedGates(NamedTuple):
     """One unit's gate weights as the forward recurrence reads them.
 
-    ``wx`` (4H, in_dim) and ``b`` (4H,), in the forward gate order, give the
-    input projection x @ wx.T + b; ``wh_t`` (H, 4H) is the recurrent matrix,
-    transposed and contiguous. The backward pass reorders rows per call
-    (:func:`_bwd_order`), so an untaped model keeps only these.
+    ``wx`` (4H, in_dim) and ``b`` (4, H), in the forward gate order, give the
+    input projection x @ wx.T + b, one gate per row of ``b``; ``wh_t``
+    (H, 4H) is the recurrent matrix, transposed and contiguous. The backward
+    pass reorders rows per call (:func:`_bwd_order`), so an untaped model
+    keeps only these.
     """
 
     wx: np.ndarray
@@ -182,13 +183,15 @@ class StackedGates(NamedTuple):
 
 def _stack_gates(*gates: Tensor) -> StackedGates:
     wx, wh, b = (np.concatenate([t.data for t in gates[i:i + 4]]) for i in (0, 4, 8))
-    return StackedGates(wx, b, np.ascontiguousarray(wh.T))
+    return StackedGates(wx, b.reshape(4, -1), np.ascontiguousarray(wh.T))
 
 
 # The LSTMParams field names in declaration order: W_x*, W_h*, b_*, each in
 # gate order. This is also the order of the initial draws and of the
 # checkpoint layout.
 LSTM_FIELDS = tuple(f.name for f in fields(LSTMParams))
+# the 12 tensors of an LSTMParams in field order, in one C-level call
+_LSTM_TENSORS = operator.attrgetter(*(f"{name}.value" for name in LSTM_FIELDS))
 
 
 @dataclass
@@ -271,12 +274,12 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
     """
     x = as_variable(x)
     xd = x.value.data
+    filters, cin, width = p.kernels.value.shape
     if xd.ndim != 2:
         raise ShapeError(f"conv input must be (frames, channels), got shape {x.value.shape}")
-    if xd.shape[1] != p.in_channels:
-        raise ShapeError(f"conv channel mismatch: input has {xd.shape[1]}, kernels expect {p.in_channels}")
-    s_len, cin = xd.shape
-    filters, _, width = p.kernels.value.shape
+    if xd.shape[1] != cin:
+        raise ShapeError(f"conv channel mismatch: input has {xd.shape[1]}, kernels expect {cin}")
+    s_len = xd.shape[0]
     if upsample:
         taps, left = _phase_taps(width)
         m = p.merged_kernels()
@@ -286,10 +289,11 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
 
     padded = np.zeros((s_len + offsets - 1, cin), dtype=np.float64)
     padded[left:left + s_len] = xd
-    out_arr = padded[:s_len] @ m[0].T
+    m_t = m.transpose(0, 2, 1)  # m_t[d] is m[d].T, the same view
+    out_arr = padded[:s_len] @ m_t[0]
     tap = np.empty_like(out_arr)
     for d in range(1, offsets):
-        out_arr += np.matmul(padded[d:d + s_len], m[d].T, out=tap)
+        out_arr += np.matmul(padded[d:d + s_len], m_t[d], tap)
     out_arr = out_arr.reshape(-1, filters)
     out_arr += p.bias.value.data
     out = Variable(Tensor._wrap(out_arr))
@@ -328,7 +332,7 @@ def norm_relu(x) -> Variable:
     x = as_variable(x)
     xd = x.value.data
     r = np.maximum(xd, 0.0)
-    m = float(r.max())
+    m = float(np.maximum.reduce(r, axis=None))  # r.max(), without its Python-level wrapper
     s = m + NORM_RELU_EPS
     out = Variable(Tensor._wrap(r / s))
 
@@ -346,7 +350,15 @@ def norm_relu(x) -> Variable:
 
 
 def max_pool_time(x) -> Variable:
-    """Halve the time axis by taking the max of each adjacent frame pair."""
+    """Halve the time axis by taking the max of each adjacent frame pair.
+
+    The earlier frame of a pair wins unless the later one is greater, or
+    the later one is NaN and the earlier one is not. So a tie, -0.0 against
+    0.0 included, keeps the earlier frame and its sign, and a NaN wins over
+    any number, the earlier NaN over a later one: the earliest maximal
+    index, as ``argmax`` picks it. The output holds the winner's value, bit
+    for bit, and the gradient goes to the winner.
+    """
     x = as_variable(x)
     xd = x.value.data
     if xd.ndim != 2:
@@ -354,16 +366,17 @@ def max_pool_time(x) -> Variable:
     t_len, channels = xd.shape
     if t_len % 2 != 0:
         raise ContractError(f"max_pool_time needs an even frame count, got {t_len}")
-    pairs = xd.reshape(t_len // 2, 2, channels)
-    winners = pairs.argmax(axis=1)  # argmax takes the earliest on ties
-    out_arr = np.take_along_axis(pairs, winners[:, None, :], axis=1)[:, 0, :]
-    out = Variable(Tensor._wrap(out_arr))
+    even, odd = xd[0::2], xd[1::2]
+    keep = even >= odd
+    keep |= np.isnan(even)
+    out = Variable(Tensor._wrap(np.where(keep, even, odd)))
 
     if taping():
         def bw(g):
-            dpairs = np.zeros_like(pairs)
-            np.put_along_axis(dpairs, winners[:, None, :], g[:, None, :], axis=1)
-            ad._accum(x, dpairs.reshape(t_len, channels))
+            dx = np.zeros((t_len, channels), dtype=np.float64)
+            np.copyto(dx[0::2], g, where=keep)
+            np.copyto(dx[1::2], g, where=~keep)
+            ad._accum(x, dx)
         record(out, (x,), bw)
     return out
 
@@ -421,60 +434,62 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
 
     Each step's gate row is laid out gate x direction x unit, so one call of
     ``expit`` covers the three sigmoid gates of every direction and one call
-    of every other elementwise function covers all directions; only the
-    recurrent product h @ W_h.T is one GEMV per direction, into a reused
-    row. Each direction's projection is written straight into the gate
-    buffer and freed before the loop, and the recurrent term is added in
-    place. tanh(c) is not kept; the backward pass recomputes it.
+    of every other elementwise function covers all directions; the
+    recurrent product h @ W_h.T is one stacked matmul, a GEMV per direction,
+    into a reused row. Each direction's projection is added to its bias
+    straight into the gate buffer, and the recurrent term is added in
+    place. tanh(c) is not kept; the backward pass recomputes it. The loops
+    pass every ``out`` positionally: at a few units per direction a step
+    costs its calls, not its arithmetic.
 
     The backward pass runs the same way over the gate-derivative factors
     (see :func:`lstm_forward`), which its loop overwrites in place with the
-    gate gradient: one (4H,) @ (4H, H) GEMV per direction and step, every
-    other call covering all directions. With ``upsample`` the row pairs of
-    the gate gradient are summed before the W_x and input-gradient GEMMs.
+    gate gradient: one stacked (4H,) @ (4H, H) matmul per step, every other
+    call covering all directions. With ``upsample`` the row pairs of the
+    gate gradient are summed before the W_x and input-gradient GEMMs.
     """
     x = as_variable(x)
     xd = x.value.data
+    stacks = [p.stacked() for p in units]
     n, hidden = len(units), units[0].hidden
-    if any(p.hidden != hidden for p in units):
-        raise ShapeError(f"direction hidden sizes differ: {[p.hidden for p in units]}")
-    if xd.ndim != 2 or any(xd.shape[1] != p.input_dim for p in units):
-        raise ShapeError(f"lstm input shape {x.value.shape} does not match expected (*, {units[0].input_dim})")
+    if xd.ndim != 2 or any(w.wx.shape != (4 * hidden, xd.shape[1]) for w in stacks):
+        raise ShapeError(f"lstm input shape {x.value.shape} does not fit units of (hidden, input) "
+                         f"sizes {[(p.hidden, p.input_dim) for p in units]}")
     s_len = xd.shape[0]
     repeat = 2 if upsample else 1
     t_len = repeat * s_len
-    stacks = [p.stacked() for p in units]
 
     gates = np.empty((t_len, 4, n, hidden), dtype=np.float64)  # step, gate, direction, unit
+    slots = gates.reshape(s_len, repeat, 4, n, hidden)
     for d, w in enumerate(stacks):
-        proj = xd @ w.wx.T
-        proj += w.b
-        rows = _steps(proj, d).reshape(s_len, 1, 4, hidden)
-        gates.reshape(s_len, repeat, 4, n, hidden)[:, :, :, d] = rows
-        del proj, rows
+        proj = (xd @ w.wx.T).reshape(s_len, 1, 4, hidden)
+        np.add(_steps(proj, d), w.b, slots[:, :, :, d])
+        del proj
     sig = gates.reshape(t_len, -1)[:, :3 * n * hidden]  # flat: expit is slower on a 3D view
-    i_s, f_s, o_s, g_s = (gates[:, k] for k in range(4))
-    hs = np.empty((t_len + 1, n, hidden), dtype=np.float64)  # hs[t + 1] = h after step t
-    cs = np.empty((t_len + 1, n, hidden), dtype=np.float64)  # cs[t + 1] = c after step t
-    hs[0] = 0.0 if h0 is None else h0
-    cs[0] = 0.0 if c0 is None else c0
-    rec = np.empty((n, 4 * hidden), dtype=np.float64)
+    i_s, f_s, o_s, g_s = gates.transpose(1, 0, 2, 3)
+    # hs[t + 1] and cs[t + 1] are h and c after step t; row 0 the initial states
+    hs, cs = np.zeros((2, t_len + 1, n, hidden), dtype=np.float64)
+    if h0 is not None:
+        hs[0] = h0
+    if c0 is not None:
+        cs[0] = c0
+    wh_t = np.concatenate([w.wh_t for w in stacks]).reshape(n, hidden, 4 * hidden)
+    rec = np.empty((n, 1, 4 * hidden), dtype=np.float64)
     rec_g = rec.reshape(n, 4, hidden).transpose(1, 0, 2)  # rec in the gate row's layout
-    gemvs = [(w.wh_t, r) for w, r in zip(stacks, rec)]
-    ig = np.empty((n, hidden), dtype=np.float64)
-    tanh_c = np.empty((n, hidden), dtype=np.float64)
+    tmp = np.empty((n, hidden), dtype=np.float64)  # i*g, then tanh(c)
 
     # zip hands each step its rows as views, without indexing in Python
-    for a, sg, cd, f, i, o, c_prev, c, h, *h_prev in zip(
-            gates, sig, g_s, f_s, i_s, o_s, cs[:-1], cs[1:], hs[1:], *hs[:-1].transpose(1, 0, 2)):
-        for h_d, (wh_t, r) in zip(h_prev, gemvs):
-            np.matmul(h_d, wh_t, out=r)
+    for a, sg, cd, f, i, o, c_prev, c, h, h_prev in zip(
+            gates, sig, g_s, f_s, i_s, o_s, cs[:-1], cs[1:], hs[1:],
+            hs[:-1].reshape(t_len, n, 1, hidden)):
+        np.matmul(h_prev, wh_t, rec)
         a += rec_g
-        expit(sg, out=sg)
-        np.tanh(cd, out=cd)
-        np.multiply(f, c_prev, out=c)
-        c += np.multiply(i, cd, out=ig)
-        np.multiply(o, np.tanh(c, out=tanh_c), out=h)
+        expit(sg, sg)
+        np.tanh(cd, cd)
+        np.multiply(f, c_prev, c)
+        c += np.multiply(i, cd, tmp)
+        np.multiply(o, np.tanh(c, tmp), h)
+    del wh_t  # a copy of both W_h.T: freed before the output is built, the untaped peak
 
     out = Variable(Tensor._wrap(np.concatenate([_steps(hs[1:, d], d) for d in range(n)], axis=1)))
 
@@ -503,15 +518,16 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
             dc = np.zeros((n, hidden), dtype=np.float64)
             dc_g = dc[:, None]
             tmp = np.empty((n, hidden), dtype=np.float64)
-            gemvs = [(_bwd_order(w.wh_t.T, hidden), r) for w, r in zip(stacks, dh)]
-            for g_t, hc, dac, dah, da_t, f in zip(dh_in[::-1], h_to_c[::-1], da_c[::-1],
-                                                  da_h[::-1], da_rows[::-1], f_s[::-1]):
+            wh_b = np.concatenate([_bwd_order(w.wh_t.T, hidden) for w in stacks])
+            wh_b = wh_b.reshape(n, 4 * hidden, hidden)
+            dh_rec = dh.reshape(n, 1, hidden)
+            for g_t, hc, dac, dah, da_t, f in zip(dh_in[::-1], h_to_c[::-1], da_c[::-1], da_h[::-1],
+                                                  da.reshape(t_len, n, 1, 4 * hidden)[::-1], f_s[::-1]):
                 dh += g_t
-                dc += np.multiply(dh, hc, out=tmp)
-                np.multiply(dac, dc_g, out=dac)
-                np.multiply(dah, dh, out=dah)
-                for da_d, (wh_b, r) in zip(da_t, gemvs):
-                    np.matmul(da_d, wh_b, out=r)
+                dc += np.multiply(dh, hc, tmp)
+                np.multiply(dac, dc_g, dac)
+                np.multiply(dah, dh, dah)
+                np.matmul(da_t, wh_b, dh_rec)
                 dc *= f
             del dh_in, h_to_c
             for d, w in enumerate(stacks):
@@ -590,9 +606,11 @@ def softmax_time(z) -> Variable:
     zd = z.value.data
     if zd.ndim != 2:
         raise ShapeError(f"softmax_time input must be (frames, classes), got {z.value.shape}")
-    shifted = zd - zd.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    # the ufuncs' own reductions, in place: ndarray.max and .sum reach them
+    # through a Python-level wrapper, and the values are the same
+    y = np.subtract(zd, np.maximum.reduce(zd, axis=1, keepdims=True))
+    np.exp(y, y)
+    y /= np.add.reduce(y, axis=1, keepdims=True)
     out = Variable(Tensor._wrap(y))
 
     if taping():
@@ -610,7 +628,9 @@ def time_softmax_dense(d, p: DenseParams) -> Variable:
     if dd.ndim != 2 or dd.shape[1] != in_dim:
         raise ShapeError(f"dense input shape {d.value.shape} does not match expected (*, {in_dim})")
     w = p.W.value.data
-    logits = Variable(Tensor._wrap(dd @ w.T + p.b.value.data))
+    z = dd @ w.T
+    z += p.b.value.data
+    logits = Variable(Tensor._wrap(z))
 
     if taping():
         weight, bias = p.W, p.b

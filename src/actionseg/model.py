@@ -142,20 +142,41 @@ class Stage:
                 for name, (prefix, field) in self.param_fields.items()]
 
     def swap(self, name: str, var: Variable) -> "Stage":
-        """A copy of this stage, with a new block, whose parameter ``name`` is ``var``."""
+        """A copy of this stage, with a copy of one block, whose parameter ``name`` is ``var``.
+
+        ``var`` must have the shape of the parameter it replaces, or
+        ShapeError is raised. The block's other fields passed its checks when
+        it was built, so that comparison is the only check the copy needs:
+        both copies are made field by field (:func:`_with`), which runs no
+        ``__post_init__``. The new block starts with no memoized weights
+        (``layers._memo``). The gradient check makes one swap per probe.
+        """
         prefix, field = self.param_fields[name]
-        swapped = dataclasses.replace(self.blocks[prefix], **{field: var})
-        return dataclasses.replace(self, blocks={**self.blocks, prefix: swapped})
+        block = self.blocks[prefix]
+        want = getattr(block, field).value.shape
+        if var.value.shape != want:
+            raise ShapeError(f"{name} shape {var.value.shape} != {want}")
+        return _with(self, blocks={**self.blocks, prefix: _with(block, **{field: var})})
 
     def shadow(self) -> "Stage":
         """A copy of this stage whose parameters are fresh variables over the same values."""
-        return dataclasses.replace(self, blocks={
-            prefix: dataclasses.replace(block, **{f.name: Variable(getattr(block, f.name).value)
-                                                  for f in dataclasses.fields(block)})
+        return _with(self, blocks={
+            prefix: _with(block, **{f: Variable(getattr(block, f).value) for f in block.__dataclass_fields__})
             for prefix, block in self.blocks.items()})
 
     def __call__(self, v, training: bool = False, rng=None) -> Variable:
         return self.forward(v, training, rng, *self.blocks.values())
+
+
+def _with(obj, **changes):
+    """A copy of the dataclass instance ``obj``, its fields set as in ``obj`` and then ``changes``.
+
+    Neither ``__init__`` nor ``__post_init__`` runs, and nothing but the
+    fields is copied: no memo or cached property kept in ``obj.__dict__``.
+    """
+    copy = object.__new__(type(obj))
+    copy.__dict__.update({f: obj.__dict__[f] for f in obj.__dataclass_fields__}, **changes)
+    return copy
 
 
 class Model:
@@ -366,9 +387,15 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint, validating every tensor shape."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Rebuild a model from a checkpoint, validating every tensor shape.
+
+    A file that cannot be read, a directory included, is a LoadError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise LoadError(f"{path}: cannot read: {exc.strerror}") from exc
 
     def take(n, offset):
         if offset + n > len(blob):

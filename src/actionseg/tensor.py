@@ -13,7 +13,7 @@ broadcasting rule the elementwise operations accept.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,18 +34,21 @@ class Tensor:
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64, order="C")
         _check_dims(arr.shape)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self.data = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path: takes ownership of a freshly computed array.
-        out = object.__new__(cls)
-        arr = np.asarray(arr, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:  # 0-d arrays are always contiguous
-            arr = np.ascontiguousarray(arr)
+        # Internal fast path: takes ownership of a freshly computed array. Every
+        # op pays for it, so an array that is already a C-contiguous float64
+        # ndarray (nearly all) is only checked, not passed through np.asarray,
+        # and setflags is called directly (``flags.writeable = False`` calls it
+        # through a Python-level method lookup).
+        if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64 or not arr.flags.c_contiguous:
+            arr = np.asarray(arr, dtype=np.float64, order="C")
         _check_dims(arr.shape)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
+        out = object.__new__(cls)
         out.data = arr
         return out
 
@@ -72,7 +75,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return self.data.item()
 
     def tolist(self):
         return self.data.tolist()
@@ -81,6 +84,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, data={self.data.tolist()!r})"
 
 
-def _check_dims(shape: Iterable[int]) -> None:
-    if any(d < 1 for d in shape):
-        raise ShapeError(f"all dimension sizes must be >= 1, got shape {tuple(shape)}")
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _check_dims(shape: tuple[int, ...]) -> None:
+    if 0 in shape:  # an array's sizes are never negative
+        raise ShapeError(f"all dimension sizes must be >= 1, got shape {shape}")

@@ -56,7 +56,8 @@ def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
     """Mean negative log probability of the true class over the masked frames.
 
     ``yhat`` holds per-frame probabilities (frames, classes); ``labels`` are
-    integer class ids; ``mask`` selects the frames that count (all by
+    integer class ids (an integer array or sequence, ContractError for
+    anything else); ``mask`` selects the frames that count (all by
     default). The probability is guarded by 1e-12 inside the log.
     """
     yhat = as_variable(yhat)
@@ -65,15 +66,17 @@ def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
         raise ShapeError(f"probabilities must be (frames, classes), got {yhat.value.shape}")
     t_len, classes = probs.shape
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ContractError(f"labels must be integer class ids, got dtype {labels.dtype}")
     if labels.shape != (t_len,):
         raise ContractError(f"labels length {labels.shape} does not match {t_len} frames")
-    bad = np.flatnonzero((labels < 0) | (labels >= classes))
-    if bad.size:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= classes:
+        bad = np.flatnonzero((labels < 0) | (labels >= classes))
         raise ContractError(
             f"label {int(labels[bad[0]])} at frame {int(bad[0])} outside [0, {classes})"
         )
     if mask is None:
-        idx = np.arange(t_len)
+        idx, lbl = np.arange(t_len), labels
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (t_len,):
@@ -81,14 +84,14 @@ def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             raise ContractError("mask selects no frames")
+        lbl = labels[idx]
 
-    picked = probs[idx, labels[idx]]
-    guarded = picked + LOG_GUARD
-    out = Variable(Tensor._wrap(np.asarray(-np.log(guarded).mean())))
+    n = idx.size
+    guarded = probs[idx, lbl] + LOG_GUARD
+    # the mean as ndarray.mean computes it, without its Python-level wrapper
+    out = Variable(Tensor._wrap(np.asarray(-(np.add.reduce(np.log(guarded)) / n))))
 
     if taping():
-        n = idx.size
-        lbl = labels[idx]
         def bw(g):
             d = np.zeros_like(probs)
             d[idx, lbl] = -float(g) / (n * guarded)

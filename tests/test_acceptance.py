@@ -47,12 +47,13 @@ TOY = dict(input_dim=3, num_classes=2, k=2, conv_len=3, hidden=4,
 
 
 def _gradcheck_variant(variant):
+    started = time.perf_counter()
     rng = np.random.default_rng(11)
     x = rng.normal(size=(8, 3))
     labels = rng.integers(0, 2, size=8)
     model = build(ModelConfig(variant=variant, **TOY))
     rows = finite_difference_report(model, x, labels, eps=1e-5)
-    return variant, max(err for _, err in rows), len(rows)
+    return variant, max(err for _, err in rows), len(rows), time.perf_counter() - started
 
 
 def test_criterion_1_gradient_fidelity():
@@ -62,8 +63,8 @@ def test_criterion_1_gradient_fidelity():
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_gradcheck_variant, VARIANTS))
         elapsed = time.perf_counter() - started
-        for variant, worst, blocks in results:
-            print(f"  {variant:10s} {blocks} blocks, worst rel err {worst:.3e}")
+        for variant, worst, blocks, seconds in results:
+            print(f"  {variant:10s} {blocks} blocks, worst rel err {worst:.3e}, {seconds:.1f}s")
             assert worst <= 1e-4, (variant, worst)
         print(f"  elapsed {elapsed:.1f}s")
         assert elapsed < 120.0

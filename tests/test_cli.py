@@ -194,6 +194,19 @@ def test_predict_unreadable_or_non_utf8_dataset_file_exits_2(tmp_path, features,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inspect", "predict"])
+def test_a_checkpoint_that_is_a_directory_exits_2(tmp_path, command, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.mkdir()
+    feat = tmp_path / "x.features.txt"
+    feat.write_text("2 2\n0.0 0.0\n1.0 1.0\n")
+    argv = {"inspect": ["inspect", "--checkpoint", str(ckpt)],
+            "predict": ["predict", "--checkpoint", str(ckpt), "--features", str(feat),
+                        "--out", str(tmp_path / "o")]}[command]
+    assert main(argv) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_gradcheck_passes_on_small_config(capsys):
     rc = main(["gradcheck", "--variant", "full", "--depth", "1", "--frames", "4", "--dim", "2",
                "--classes", "2", "--conv-len", "2", "--hidden", "2",

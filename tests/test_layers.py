@@ -250,6 +250,40 @@ def test_max_pool_examples():
     assert out.value.data.ravel().tolist() == [-1.0]
 
 
+def _max_pool_reference(xd, g):
+    # the earliest maximal frame of each pair, by argmax, and its gradient routing
+    t_len, channels = xd.shape
+    pairs = xd.reshape(t_len // 2, 2, channels)
+    winners = pairs.argmax(axis=1)[:, None, :]
+    dpairs = np.zeros_like(pairs)
+    np.put_along_axis(dpairs, winners, g[:, None, :], axis=1)
+    return np.take_along_axis(pairs, winners, axis=1)[:, 0, :], dpairs.reshape(t_len, channels)
+
+
+# ties, both zeros, two NaNs told apart by their sign bit, and both infinities
+_POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, -np.nan, np.inf, -np.inf])
+
+
+@given(pairs=st.integers(1, 6), channels=st.integers(1, 4), data=st.data())
+@example(pairs=4, channels=1, data=None)
+def test_max_pool_matches_argmax_bit_for_bit_with_ties_zeros_nan_and_inf(pairs, channels, data):
+    size = 2 * pairs * channels
+    if data is None:  # each pair: a tie, -0.0 first, a NaN second, a NaN first
+        values = [2.5, 2.5, -0.0, 0.0, 1.0, np.nan, -np.nan, np.inf]
+    else:
+        values = data.draw(st.lists(_POOL_VALUES, min_size=size, max_size=size))
+    xd = np.array(values, dtype=np.float64).reshape(2 * pairs, channels)
+    g = np.arange(1.0, pairs * channels + 1).reshape(pairs, channels)
+    want, want_grad = _max_pool_reference(xd, g)
+    x = Variable(xd, trainable=True)
+    with ad.Tape() as tape, np.errstate(invalid="ignore"):  # the loss may be inf - inf
+        out = L.max_pool_time(x)
+        loss = sum_all(ad.mul(out, Variable(g)))
+    tape.backward(loss)
+    assert out.value.data.tobytes() == want.tobytes()
+    assert x._grad.tobytes() == want_grad.tobytes()
+
+
 def test_max_pool_odd_length_rejected():
     with pytest.raises(ContractError):
         L.max_pool_time(Variable(np.ones((3, 2))))

@@ -245,6 +245,21 @@ def test_config_validation():
             toy_config(**{field: value})
 
 
+def test_stage_swap_replaces_one_parameter_of_the_same_shape():
+    model = build(toy_config("high"))
+    for stage in model.table:
+        before = stage.params()
+        for name, var in before:
+            for shape in (var.shape[::-1] + (1,), var.shape[1:] or (var.shape[0] + 1,)):
+                with pytest.raises(ShapeError, match=name):
+                    stage.swap(name, Variable(np.zeros(shape)))
+            probe = Variable(var.value)
+            swapped = stage.swap(name, probe).params()
+            assert [n for n, _ in swapped] == [n for n, _ in before]
+            assert all(v is (probe if n == name else w) for (n, v), (_, w) in zip(swapped, before))
+        assert stage.params() == before
+
+
 def test_checkpoint_round_trip(tmp_path):
     m = build(toy_config("low"))
     x = RNG.normal(size=(10, 3))

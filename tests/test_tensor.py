@@ -167,8 +167,27 @@ def test_slice_bounds_error():
 
 
 def test_zero_size_dimension_rejected():
-    with pytest.raises(ShapeError):
-        Tensor(np.empty((0, 3)))
+    for shape in [(0, 3), (3, 0), (0,), (2, 0, 4)]:
+        for make in (Tensor, Tensor._wrap):
+            with pytest.raises(ShapeError):
+                make(np.empty(shape))
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(6.0).reshape(2, 3),
+    np.arange(6.0).reshape(2, 3).T,
+    np.arange(12.0).reshape(3, 4)[:, ::2],
+    np.arange(6, dtype=np.float32).reshape(3, 2),
+    np.arange(6).reshape(2, 3),
+    np.arange(4.0).astype(">f8"),
+    np.asarray(2.5),
+    np.float64(2.5),
+], ids=["contiguous", "transposed", "strided", "float32", "int", "big-endian", "0-d", "scalar"])
+def test_wrap_gives_a_c_contiguous_read_only_float64_array(arr):
+    t = Tensor._wrap(arr)
+    assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+    assert t.data.dtype.isnative and t.data.flags.c_contiguous and not t.data.flags.writeable
+    assert t.shape == np.shape(arr) and np.array_equal(t.data, arr)
 
 
 def test_operations_preserve_finiteness():

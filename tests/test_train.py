@@ -66,6 +66,13 @@ def test_label_out_of_range_rejected():
         cross_entropy_loss(Variable(probs), np.array([0, -1, 1]))
 
 
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 1.0]), [0, 1.0, 1], np.array([False, True, True])],
+                         ids=["float-array", "float-list", "bool"])
+def test_non_integer_labels_rejected(labels):
+    with pytest.raises(ContractError, match="integer class ids"):
+        cross_entropy_loss(Variable(np.full((3, 2), 0.5)), labels)
+
+
 def test_empty_mask_rejected():
     probs = np.full((3, 2), 0.5)
     with pytest.raises(ContractError):
