@@ -22,7 +22,6 @@ thread that entered it.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Callable
 
@@ -35,19 +34,13 @@ __all__ = [
     "Variable",
     "Tape",
     "add",
-    "sub",
     "mul",
     "matmul",
-    "transpose",
     "concat",
     "slice_axis",
     "sum_all",
-    "reduce_sum",
     "finite_diff_check",
 ]
-
-_ids = itertools.count()
-
 
 class _TapeStack(threading.local):
     def __init__(self):
@@ -64,11 +57,10 @@ class Variable:
     ``trainable`` to have :meth:`Tape.backward` accumulate their gradients.
     """
 
-    __slots__ = ("value", "vid", "name", "trainable", "parents", "_backward", "_grad")
+    __slots__ = ("value", "name", "trainable", "parents", "_backward", "_grad")
 
     def __init__(self, value, trainable: bool = False, name: str | None = None):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.vid = next(_ids)
         self.name = name
         self.trainable = trainable
         self.parents: tuple["Variable", ...] = ()
@@ -89,8 +81,7 @@ class Variable:
         self._grad = None
 
     def __repr__(self) -> str:
-        tag = self.name or f"v{self.vid}"
-        return f"Variable({tag}, shape={self.shape})"
+        return f"Variable({self.name or 'unnamed'}, shape={self.shape})"
 
 
 class Tape:
@@ -182,17 +173,6 @@ def add(a, b) -> Variable:
     return out
 
 
-def sub(a, b) -> Variable:
-    a, b = as_variable(a), as_variable(b)
-    out = Variable(_pointwise(np.subtract, a, b))
-    if taping():
-        def bw(g):
-            _accum(a, _unbroadcast(g, a.value.shape))
-            _accum(b, _unbroadcast(-g, b.value.shape))
-        record(out, (a, b), bw)
-    return out
-
-
 def mul(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
     out = Variable(_pointwise(np.multiply, a, b))
@@ -217,18 +197,6 @@ def matmul(a, b) -> Variable:
             _accum(a, g @ bd.T)
             _accum(b, ad.T @ g)
         record(out, (a, b), bw)
-    return out
-
-
-def transpose(a) -> Variable:
-    a = as_variable(a)
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got shape {a.shape}")
-    out = Variable(Tensor._wrap(a.value.data.T.copy()))
-    if taping():
-        def bw(g):
-            _accum(a, g.T)
-        record(out, (a,), bw)
     return out
 
 
@@ -274,20 +242,6 @@ def sum_all(a) -> Variable:
         shape = a.value.shape
         def bw(g):
             _accum(a, np.broadcast_to(g, shape))
-        record(out, (a,), bw)
-    return out
-
-
-def reduce_sum(a, axis: int) -> Variable:
-    """Sum along ``axis``; the axis is removed from the result."""
-    a = as_variable(a)
-    shape = a.shape
-    if not 0 <= axis < len(shape):
-        raise IndexError(f"reduce axis {axis} out of range for shape {shape}")
-    out = Variable(Tensor._wrap(np.sum(a.value.data, axis=axis)))
-    if taping():
-        def bw(g):
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), shape))
         record(out, (a,), bw)
     return out
 

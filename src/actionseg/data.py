@@ -324,18 +324,14 @@ def load_dataset(manifest_path) -> Dataset:
         for sid in ids:
             if sid in samples:
                 continue
-            txt = base / f"{sid}.features.txt"
-            bin_ = base / f"{sid}.features.bin"
-            if txt.exists() and bin_.exists():
-                raise LoadError(f"{base}: sample {sid!r} has both {txt.name} and {bin_.name}")
-            if txt.exists():
-                feats = _load_features_text(txt, _read_text(txt))
-                fname = txt
-            elif bin_.exists():
-                feats = _load_features_binary(bin_, _read(bin_))
-                fname = bin_
-            else:
+            found = [f for f in (base / f"{sid}.features.txt", base / f"{sid}.features.bin")
+                     if f.exists()]
+            if not found:
                 raise LoadError(f"{base}: missing features file for sample {sid!r}")
+            if len(found) == 2:
+                raise LoadError(f"{base}: sample {sid!r} has both {found[0].name} and {found[1].name}")
+            fname = found[0]
+            feats = load_features(fname)
             if feats.shape[1] != manifest.feature_dim:
                 raise LoadError(
                     f"{fname}: feature dimension {feats.shape[1]} does not match manifest "
@@ -347,7 +343,7 @@ def load_dataset(manifest_path) -> Dataset:
             if labels.size != feats.shape[0]:
                 raise LoadError(
                     f"{labels_path}: {labels.size} labels but {feats.shape[0]} feature rows")
-            samples[sid] = SequenceSample(sid, Tensor._wrap(feats), labels)
+            samples[sid] = SequenceSample(sid, feats, labels)
     return Dataset(manifest, samples)
 
 

@@ -9,7 +9,9 @@ project.
 
 Each loop is written once: both convolutions run on :func:`_convolution`
 and all LSTM ops on :func:`_recurrence`. The rearranged weights those loops
-read are memoized on their parameters by :func:`_memo`.
+read are memoized on their parameters by :func:`_memo`. The LSTM gates have
+one order, that of the :class:`LSTMParams` fields, in the stacked weights,
+the forward pass and the backward pass alike.
 
 Non-differentiable points are handled deterministically: the rectifier uses
 subgradient 0 at exactly 0, and max pooling (and the rectifier's layer-wide
@@ -169,11 +171,11 @@ class LSTMParams:
 class StackedGates(NamedTuple):
     """One unit's gate weights as the forward recurrence reads them.
 
-    ``wx`` (4H, in_dim) and ``b`` (4, H), in the forward gate order, give the
-    input projection x @ wx.T + b, one gate per row of ``b``; ``wh_t``
-    (H, 4H) is the recurrent matrix, transposed and contiguous. The backward
-    pass reorders rows per call (:func:`_bwd_order`), so an untaped model
-    keeps only these.
+    Row block k of ``wx`` (4H, in_dim) and row k of ``b`` (4, H) hold gate
+    k in the field order; they give the input projection x @ wx.T + b.
+    ``wh_t`` (H, 4H) is the recurrent matrix, transposed and contiguous. The
+    backward pass reads ``wx`` as it is and stacks ``wh_t.T`` afresh per
+    call, so an untaped model keeps only these.
     """
 
     wx: np.ndarray
@@ -397,17 +399,6 @@ def upsample_repeat(x) -> Variable:
     return out
 
 
-# Gate order of the LSTM backward pass, as indices into the forward order
-# (i, f, o, g). The permutation is its own inverse, so it also maps a forward
-# gate to its row block in the backward order.
-_BWD_GATES = [0, 1, 3, 2]
-
-
-def _bwd_order(w: np.ndarray, hidden: int) -> np.ndarray:
-    """The (4H, *) gate rows of ``w`` in the backward pass's gate order, as a new array."""
-    return w.reshape(4, hidden, -1)[_BWD_GATES].reshape(4 * hidden, -1)
-
-
 def _state_vec(v, hidden: int, what: str) -> np.ndarray:
     if v is None:
         return np.zeros(hidden, dtype=np.float64)
@@ -445,8 +436,10 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
     The backward pass runs the same way over the gate-derivative factors
     (see :func:`lstm_forward`), which its loop overwrites in place with the
     gate gradient: one stacked (4H,) @ (4H, H) matmul per step, every other
-    call covering all directions. With ``upsample`` the row pairs of the
-    gate gradient are summed before the W_x and input-gradient GEMMs.
+    call covering all directions. Its rows keep the gate order of the
+    forward pass, so row block k of each W_x, W_h and bias gradient is the
+    k-th field of its group. With ``upsample`` the row pairs of the gate
+    gradient are summed before the W_x and input-gradient GEMMs.
     """
     x = as_variable(x)
     xd = x.value.data
@@ -499,18 +492,20 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
         block_vars = [var for p in units for _, var in p.blocks()]
         wants_dx = _wants_grad(x)
         def bw(g):
-            # the factors, per direction in the gate order i, f, g, o, so that
-            # the three gates scaled by the cell gradient are one block; the
-            # loop overwrites them with the gate gradient da
+            # the factors, per direction in the gate order, except that the o
+            # row first holds o(1-tanh^2 c), which carries the hidden gradient
+            # into the cell, and o's own factor is kept in tc, so neither needs
+            # a buffer of its own. Each step reads the o row, scales all four
+            # rows by the cell gradient, then sets the o row to o's factor
+            # times the hidden gradient; da is then the gate gradient
             tc = np.tanh(cs[1:])
             da = np.empty((t_len, n, 4, hidden), dtype=np.float64)
             da[:, :, 0] = g_s * i_s * (1.0 - i_s)
             da[:, :, 1] = cs[:-1] * f_s * (1.0 - f_s)
-            da[:, :, 2] = i_s * (1.0 - g_s * g_s)
-            da[:, :, 3] = tc * o_s * (1.0 - o_s)
-            h_to_c = o_s * (1.0 - tc * tc)
-            del tc
-            da_c, da_h = da[:, :, :3], da[:, :, 3]
+            da[:, :, 2] = o_s * (1.0 - tc * tc)
+            da[:, :, 3] = i_s * (1.0 - g_s * g_s)
+            tc *= o_s
+            tc *= 1.0 - o_s
             da_rows = da.reshape(t_len, n, 4 * hidden)
             g = g.reshape(t_len, n, hidden)
             dh_in = np.stack([_steps(g[:, d], d) for d in range(n)], axis=1)
@@ -518,18 +513,18 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
             dc = np.zeros((n, hidden), dtype=np.float64)
             dc_g = dc[:, None]
             tmp = np.empty((n, hidden), dtype=np.float64)
-            wh_b = np.concatenate([_bwd_order(w.wh_t.T, hidden) for w in stacks])
-            wh_b = wh_b.reshape(n, 4 * hidden, hidden)
+            wh = np.stack([w.wh_t.T for w in stacks])
             dh_rec = dh.reshape(n, 1, hidden)
-            for g_t, hc, dac, dah, da_t, f in zip(dh_in[::-1], h_to_c[::-1], da_c[::-1], da_h[::-1],
-                                                  da.reshape(t_len, n, 1, 4 * hidden)[::-1], f_s[::-1]):
+            for g_t, da_o, da_t, o_t, da_row, f in zip(
+                    dh_in[::-1], da[:, :, 2][::-1], da[::-1], tc[::-1],
+                    da_rows.reshape(t_len, n, 1, 4 * hidden)[::-1], f_s[::-1]):
                 dh += g_t
-                dc += np.multiply(dh, hc, tmp)
-                np.multiply(dac, dc_g, dac)
-                np.multiply(dah, dh, dah)
-                np.matmul(da_t, wh_b, dh_rec)
+                dc += np.multiply(dh, da_o, tmp)
+                np.multiply(da_t, dc_g, da_t)
+                np.multiply(o_t, dh, da_o)
+                np.matmul(da_row, wh, dh_rec)
                 dc *= f
-            del dh_in, h_to_c
+            del dh_in, tc
             for d, w in enumerate(stacks):
                 a = da_rows[:, d]
                 dwh = a.T @ hs[:-1, d]
@@ -537,14 +532,13 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
                 if upsample:
                     a = a[0::2] + a[1::2]
                 dwx = a.T @ np.ascontiguousarray(_steps(xd, d))
-                dvars = block_vars[12 * d:12 * (d + 1)]
-                for k, pos in enumerate(_BWD_GATES):
-                    rows = slice(pos * hidden, (pos + 1) * hidden)
-                    ad._accum(dvars[k], dwx[rows])        # W_x*
-                    ad._accum(dvars[4 + k], dwh[rows])    # W_h*
-                    ad._accum(dvars[8 + k], db[rows])     # b_*
+                # row block k of each gradient is the k-th field of its group
+                grads = (*dwx.reshape(4, hidden, -1), *dwh.reshape(4, hidden, hidden),
+                         *db.reshape(4, hidden))
+                for var, grad in zip(block_vars[12 * d:12 * (d + 1)], grads):
+                    ad._accum(var, grad)
                 if wants_dx:
-                    part = _steps(a @ _bwd_order(w.wx, hidden), d)
+                    part = _steps(a @ w.wx, d)
                     dx = part if d == 0 else dx + part
             if wants_dx:
                 ad._accum(x, dx)
@@ -563,12 +557,12 @@ def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
     :func:`bilstm` runs over two directions.
 
     The backward pass first computes every gate-derivative factor for all T
-    at once: g*i(1-i), c_{t-1}*f(1-f) and i(1-g^2) scale the cell gradient,
-    tanh(c)*o(1-o) scales the hidden gradient, and o(1-tanh^2 c) carries the
-    hidden gradient into the cell. Each step of the loop then only adds,
-    scales and makes one (1, 4H) @ (4H, H) product, writing into buffers
-    that exist already. An input that is a leaf and not trainable gets no
-    gradient.
+    at once, in the gate order: g*i(1-i), c_{t-1}*f(1-f), tanh(c)*o(1-o) and
+    i(1-g^2); o(1-tanh^2 c) carries the hidden gradient into the cell. Each
+    step of the loop scales the whole gate row by the cell gradient, sets
+    the o gate to its factor times the hidden gradient, and makes one
+    (1, 4H) @ (4H, H) product, writing into buffers that exist already. An
+    input that is a leaf and not trainable gets no gradient.
     """
     hidden = p.hidden
     return _recurrence(x, (p,), h0=_state_vec(h0, hidden, "h0"), c0=_state_vec(c0, hidden, "c0"))

@@ -102,15 +102,15 @@ def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First and second moments, keyed on each parameter's Variable, plus the shared step counter."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[int, np.ndarray] = field(default_factory=dict)
-    v: dict[int, np.ndarray] = field(default_factory=dict)
+    m: dict[Variable, np.ndarray] = field(default_factory=dict)
+    v: dict[Variable, np.ndarray] = field(default_factory=dict)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -131,12 +131,12 @@ def adam_step(params, grads, state: AdamState):
     for p, g in zip(params, grads):
         if g.shape != p.value.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.value.shape}")
-        m = state.m.get(p.vid)
+        m = state.m.get(p)
         if m is None:
-            m = state.m[p.vid] = np.zeros_like(g)
-            v = state.v[p.vid] = np.zeros_like(g)
+            m = state.m[p] = np.zeros_like(g)
+            v = state.v[p] = np.zeros_like(g)
         else:
-            v = state.v[p.vid]
+            v = state.v[p]
         tmp = np.multiply(1.0 - state.beta1, g)
         m *= state.beta1
         m += tmp
@@ -222,8 +222,12 @@ def train(model: Model, train_set, val_set, epochs: int, seed: int = 0, lr: floa
     and sequence; a non-finite gradient aborts before the update, also naming
     the first parameter block whose gradient is not finite.
     ``early_stop_train_acc`` optionally ends training once the epoch's
-    training accuracy reaches the given percentage.
+    training accuracy reaches the given percentage. An empty training or
+    validation set is a :class:`ContractError`, raised before any update.
     """
+    for what, samples in (("training", train_set), ("validation", val_set)):
+        if len(samples) == 0:
+            raise ContractError(f"the {what} set is empty")
     started = time.perf_counter()
     ss = np.random.SeedSequence(seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(child) for child in ss.spawn(2))

@@ -53,7 +53,7 @@ def _gradcheck_variant(variant):
     labels = rng.integers(0, 2, size=8)
     model = build(ModelConfig(variant=variant, **TOY))
     rows = finite_difference_report(model, x, labels, eps=1e-5)
-    return variant, max(err for _, err in rows), len(rows), time.perf_counter() - started
+    return variant, rows, time.perf_counter() - started
 
 
 def test_criterion_1_gradient_fidelity():
@@ -63,9 +63,10 @@ def test_criterion_1_gradient_fidelity():
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_gradcheck_variant, VARIANTS))
         elapsed = time.perf_counter() - started
-        for variant, worst, blocks, seconds in results:
-            print(f"  {variant:10s} {blocks} blocks, worst rel err {worst:.3e}, {seconds:.1f}s")
-            assert worst <= 1e-4, (variant, worst)
+        for variant, rows, seconds in results:
+            worst = float(np.max([err for _, err in rows]))  # NaN if any row is NaN
+            print(f"  {variant:10s} {len(rows)} blocks, worst rel err {worst:.3e}, {seconds:.1f}s")
+            assert all(err <= 1e-4 for _, err in rows), (variant, rows)
         print(f"  elapsed {elapsed:.1f}s")
         assert elapsed < 120.0
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -232,6 +233,38 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
                "--seed", "101", "--data-seed", "11"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("errs", [(1e-6, float("nan"), 2e-6), (float("nan"), 1e-6), (1e-6, float("inf"))])
+def test_gradcheck_fails_on_a_row_that_is_not_within_tolerance(monkeypatch, capsys, errs):
+    rows = [(f"block{i}", err) for i, err in enumerate(errs)]
+    monkeypatch.setattr("actionseg.cli.finite_difference_report", lambda *args, **kw: rows)
+    assert main(["gradcheck", "--variant", "conv_only", "--depth", "1", "--frames", "4"]) == 1
+    worst = capsys.readouterr().out.splitlines()[-1].split()
+    assert worst[0] == "worst" and worst[1] == ("inf" if math.inf in errs else "nan")
+    assert worst[2] == "FAIL"
+
+
+@pytest.mark.parametrize("frames", ["0", "-3"])
+def test_gradcheck_frame_count_below_one_exits_2(frames, capsys):
+    assert main(["gradcheck", "--frames", frames]) == 2
+    captured = capsys.readouterr()
+    assert "--frames must be at least 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_with_an_empty_split_exits_2_before_any_step(workdir, split, capsys):
+    manifest = workdir / "ds" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    start = lines.index(f"[split {split}]") + 1
+    while start < len(lines) and lines[start] and not lines[start].startswith("["):
+        del lines[start]
+    manifest.write_text("\n".join(lines) + "\n")
+    cfg = write_run_cfg(workdir, epochs=1)
+    assert main(["train", "--config", str(cfg), "--out", str(workdir / "run")]) == 2
+    what = {"train": "training", "test": "validation"}[split]
+    assert f"the {what} set is empty" in capsys.readouterr().err
+    assert not (workdir / "run" / "checkpoint.bin").exists()
 
 
 def test_inspect_from_config_and_checkpoint(workdir, capsys):

@@ -55,6 +55,25 @@ def test_load_features_sniffs_format(tmp_path):
     assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("binary, renamed", [(True, ("s0.features.bin", "s0.features.txt")),
+                                              (False, ("s1.features.txt", "s1.features.bin"))])
+def test_load_dataset_reads_features_by_content_not_extension(tmp_path, binary, renamed):
+    ds = small_dataset()
+    manifest_path = save_dataset(ds, tmp_path, binary=binary)
+    (tmp_path / renamed[0]).rename(tmp_path / renamed[1])
+    back = load_dataset(manifest_path)
+    for sid, sample in ds.samples.items():
+        assert np.array_equal(back.samples[sid].features.data, sample.features.data)
+
+
+def test_sample_with_both_feature_files_rejected(tmp_path):
+    ds = small_dataset()
+    manifest_path = save_dataset(ds, tmp_path)
+    save_dataset(ds, tmp_path, binary=True)
+    with pytest.raises(LoadError, match="has both s0.features.txt and s0.features.bin"):
+        load_dataset(manifest_path)
+
+
 def test_label_out_of_range_names_line(tmp_path):
     ds = small_dataset()
     manifest_path = save_dataset(ds, tmp_path)

@@ -58,7 +58,7 @@ def test_elementwise_bias_broadcast():
     assert out.tolist() == [[11.0, 22.0, 33.0], [14.0, 25.0, 36.0]]
     flat_bias = Tensor([10.0, 20.0, 30.0])
     assert ad.add(m, flat_bias).value.tolist() == out.tolist()
-    assert ad.sub(flat_bias, m).value.tolist() == [[9.0, 18.0, 27.0], [6.0, 15.0, 24.0]]
+    assert ad.add(flat_bias, m).value.tolist() == out.tolist()
 
 
 def test_elementwise_shape_error():
@@ -73,16 +73,12 @@ def test_elementwise_shape_error():
      ShapeError, "matmul shape mismatch: (3,) @ (3, 2)"),
     (lambda: ad.add(Tensor.zeros((2, 3)), Tensor.zeros((3, 2))),
      ShapeError, "elementwise shape mismatch: (2, 3) vs (3, 2)"),
-    (lambda: ad.sub(Tensor.zeros(2), Tensor.zeros((2, 3))),
+    (lambda: ad.add(Tensor.zeros(2), Tensor.zeros((2, 3))),
      ShapeError, "elementwise shape mismatch: (2,) vs (2, 3)"),
     (lambda: ad.mul(Tensor.zeros((2, 3)), Tensor.zeros((2, 1))),
      ShapeError, "elementwise shape mismatch: (2, 3) vs (2, 1)"),
     (lambda: ad.add(Tensor.zeros((1, 2, 3)), Tensor.zeros(3)),
      ShapeError, "elementwise shape mismatch: (1, 2, 3) vs (3,)"),
-    (lambda: ad.reduce_sum(Tensor([1.0, 2.0]), 1),
-     IndexError, "reduce axis 1 out of range for shape (2,)"),
-    (lambda: ad.reduce_sum(Tensor([1.0, 2.0]), -1),
-     IndexError, "reduce axis -1 out of range for shape (2,)"),
     (lambda: ad.concat(Tensor.zeros((2, 3)), Tensor.zeros((2, 4)), 0),
      ShapeError, "concat shape mismatch on axis 0: (2, 3) vs (2, 4)"),
     (lambda: ad.concat(Tensor.zeros((2, 3)), Tensor.zeros(3), 0),
@@ -95,36 +91,11 @@ def test_elementwise_shape_error():
      ShapeError, "slice bounds [1, 4) invalid for axis 0 of shape (2,)"),
     (lambda: ad.slice_axis(Tensor([1.0, 2.0]), 0, 1, 1),
      ShapeError, "slice bounds [1, 1) invalid for axis 0 of shape (2,)"),
-    (lambda: ad.transpose(Tensor.zeros(3)),
-     ShapeError, "transpose needs a rank-2 tensor, got shape (3,)"),
 ])
 def test_shape_errors_name_the_shapes(call, exc, message):
     with pytest.raises(exc) as err:
         call()
     assert str(err.value) == message
-
-
-def test_reduce_examples():
-    assert ad.reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), 0).value.tolist() == [4.0, 6.0]
-    assert ad.reduce_sum(Tensor([[1.0, 2.0], [3.0, 4.0]]), 1).value.tolist() == [3.0, 7.0]
-    assert ad.reduce_sum(Tensor([2.0, 4.0]), 0).value.item() == 6.0
-
-
-def test_reduce_bad_axis():
-    with pytest.raises(IndexError):
-        ad.reduce_sum(Tensor([1.0, 2.0]), 1)
-
-
-def test_reduce_sum_matches_sequential_accumulation_exactly():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        rows, cols = rng.integers(1, 9, size=2)
-        ints = rng.integers(-(2 ** 45), 2 ** 45, size=(rows, cols)).astype(np.float64)
-        t = Tensor(ints)
-        total = np.zeros(cols)
-        for i in range(rows):
-            total = total + ad.slice_axis(t, 0, i, i + 1).value.data[0]
-        assert np.array_equal(ad.reduce_sum(t, 0).value.data, total)
 
 
 def test_concat_slice_examples():
@@ -134,14 +105,9 @@ def test_concat_slice_examples():
 
 def test_slice_and_transpose_return_copies():
     t = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    for out in (ad.slice_axis(t, 0, 0, 1), ad.slice_axis(t, 1, 1, 3), ad.transpose(t)):
+    for out in (ad.slice_axis(t, 0, 0, 1), ad.slice_axis(t, 1, 1, 3)):
         assert not np.shares_memory(out.value.data, t.data)
         assert out.value.data.flags["C_CONTIGUOUS"]
-
-
-def test_transpose_involution():
-    m = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    assert np.array_equal(ad.transpose(ad.transpose(m)).value.data, m.data)
 
 
 def test_concat_slice_round_trip_random():
@@ -194,8 +160,7 @@ def test_operations_preserve_finiteness():
     rng = np.random.default_rng(3)
     a = Tensor(rng.normal(size=(4, 4)) * 1e6)
     b = Tensor(rng.normal(size=(4, 4)) * 1e6)
-    for out in (ad.matmul(a, b), ad.add(a, b), ad.sub(a, b), ad.mul(a, b),
-                ad.reduce_sum(a, 0), ad.concat(a, b, 1), ad.transpose(a)):
+    for out in (ad.matmul(a, b), ad.add(a, b), ad.mul(a, b), ad.concat(a, b, 1)):
         assert np.all(np.isfinite(out.value.data))
 
 

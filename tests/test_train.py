@@ -117,6 +117,13 @@ def test_adam_opposite_gradients_roughly_cancel():
     assert abs(p.value.item() - 0.5) <= 2 * 1e-3
 
 
+def test_adam_moments_are_keyed_on_the_parameter_variables():
+    params = [Variable(np.ones(3), trainable=True), Variable(np.ones((2, 2)), trainable=True)]
+    state = AdamState()
+    adam_step(params, [np.ones(3), np.ones((2, 2))], state)
+    assert list(state.m) == params and list(state.v) == params
+
+
 def test_adam_matches_reference_recurrence():
     rng = np.random.default_rng(71)
     theta = rng.normal(size=(3, 2))
@@ -179,6 +186,18 @@ def test_zero_epochs_changes_nothing():
     report = train(m, ds.split("train"), ds.split("test"), epochs=0, seed=5)
     assert report.epochs == []
     assert 0.0 <= report.final.accuracy <= 100.0
+    for n, p in m.params.items():
+        assert np.array_equal(p.value.data, before[n])
+
+
+@pytest.mark.parametrize("empty", ["training", "validation"])
+def test_an_empty_training_or_validation_set_is_rejected_before_any_update(empty):
+    ds = tiny_dataset()
+    m = tiny_model()
+    before = {n: p.value.data.copy() for n, p in m.params.items()}
+    sets = {"training": ds.split("train"), "validation": ds.split("test"), empty: []}
+    with pytest.raises(ContractError, match=f"the {empty} set is empty"):
+        train(m, sets["training"], sets["validation"], epochs=2, seed=5)
     for n, p in m.params.items():
         assert np.array_equal(p.value.data, before[n])
 
