@@ -283,6 +283,8 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(rc.manifest)
     split = args.split if args.split is not None else rc.val_split
     seqs = dataset.split(split)
+    if not seqs:
+        raise ContractError(f"split {split!r} is empty")
     man = dataset.manifest
     model = load_checkpoint(args.checkpoint)
     if model.config.input_dim != man.feature_dim:

@@ -254,17 +254,28 @@ def _load_features_text(path: Path, text: str) -> np.ndarray:
         raise LoadError(f"{path}: header promises {t_len}x{dim} values, "
                         f"more than {len(text)} characters can hold")
     out = np.empty((t_len, dim), dtype=np.float64)
-    for i in range(t_len):
-        parts = lines[1 + i].split()
+    # the rows are checked for non-finite values once, at the end, or before
+    # a row that does not parse is reported, so the first error in the file
+    # is the one reported
+    for i, line in enumerate(lines[1:]):
+        parts = line.split()
         if len(parts) != dim:
+            _check_finite_rows(path, out[:i])
             raise LoadError(f"{path}:{i + 2}: expected {dim} values, got {len(parts)}")
         try:
             out[i] = [float(p) for p in parts]
         except ValueError as exc:
+            _check_finite_rows(path, out[:i])
             raise LoadError(f"{path}:{i + 2}: non-numeric value") from exc
-        if not np.all(np.isfinite(out[i])):
-            raise LoadError(f"{path}:{i + 2}: non-finite feature value")
+    _check_finite_rows(path, out)
     return out
+
+
+def _check_finite_rows(path: Path, rows: np.ndarray) -> None:
+    """LoadError naming the file line of the first row with a non-finite value, if any."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise LoadError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
 
 
 def _load_features_binary(path: Path, blob: bytes) -> np.ndarray:

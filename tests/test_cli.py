@@ -126,6 +126,21 @@ def test_eval_report_keys_and_bad_split(workdir, capsys):
     assert "nonesuch" in capsys.readouterr().err
 
 
+def test_eval_on_an_empty_split_exits_2_naming_it(workdir, capsys):
+    manifest = workdir / "ds" / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "\n[split held_out]\n")
+    ckpt = workdir / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=5, num_classes=4, k=2, conv_len=3, hidden=8)), ckpt)
+    cfg = write_run_cfg(workdir, epochs=1)
+    rc = main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--split", "held_out",
+               "--out", str(workdir / "ev")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "split 'held_out' is empty" in err
+    assert "mismatch" not in err
+    assert not (workdir / "ev" / "report.kv").exists()
+
+
 def test_eval_on_training_split_after_overfit(workdir):
     cfg = write_run_cfg(workdir, epochs=60)
     assert main(["train", "--config", str(cfg), "--out", str(workdir / "long")]) == 0

@@ -172,6 +172,20 @@ def test_text_features_must_match_their_header(tmp_path, text, named):
     assert str(path) in str(err.value) and named in str(err.value)
 
 
+@pytest.mark.parametrize("rows, named", [
+    (["0.0 1.0", "inf 0.0", "1.0 x", "2.0 2.0"], ":3: non-finite feature value"),
+    (["0.0 1.0", "1.0 1.0", "2.0 x", "nan 2.0"], ":4: non-numeric value"),
+    (["0.0 1.0", "1.0 nan", "2.0", "3.0 3.0"], ":3: non-finite feature value"),
+    (["0.0 1.0", "1.0 1.0", "-inf 0", "3.0 3.0"], ":4: non-finite feature value"),
+], ids=["non-finite-first", "non-numeric-first", "before-a-short-row", "last-check"])
+def test_text_features_report_the_first_bad_row_in_file_order(tmp_path, rows, named):
+    path = tmp_path / "x.features.txt"
+    path.write_text("\n".join(["4 2", *rows]) + "\n")
+    with pytest.raises(LoadError) as err:
+        load_features(path)
+    assert str(err.value) == f"{path}{named}"
+
+
 # every dataset parser loads its input or raises LoadError, whatever the bytes
 
 

@@ -128,6 +128,116 @@ def test_conv_taped_memory_stays_below_a_patch_matrix():
     assert peak < 16e6, peak / 1e6
 
 
+def _correlate_reference(x, kernels, bias, w, upsample):
+    """Output, input gradient and kernel gradient of sum(out * w), by np.correlate per (filter, channel)."""
+    filters, cin, width = kernels.shape
+    xu = np.repeat(x, 2, axis=0) if upsample else x
+    left = width // 2
+    xp = np.pad(xu, ((left, width - 1 - left), (0, 0)))
+    out = np.tile(bias, (len(xu), 1))
+    dk = np.empty_like(kernels)
+    dxp = np.zeros_like(xp)
+    for j in range(filters):
+        for c in range(cin):
+            out[:, j] += np.correlate(xp[:, c], kernels[j, c], "valid")
+            dk[j, c] = np.correlate(xp[:, c], w[:, j], "valid")
+            dxp[:, c] += np.convolve(w[:, j], kernels[j, c])
+    dx = dxp[left:left + len(xu)]
+    return out, (dx[0::2] + dx[1::2] if upsample else dx), dk
+
+
+def _taped_conv(op, x0, k0, b0, w):
+    x = Variable(x0, trainable=True)
+    p = conv_params(*k0.shape, kernels=k0, bias=b0)
+    with ad.Tape() as tape:
+        out = op(x, p)
+        loss = sum_all(ad.mul(out, Variable(w)))
+    tape.backward(loss)
+    return out.value.data, x._grad, p.kernels._grad, p.bias._grad
+
+
+# (op, frames, in_channels, filters, frequency-domain path taken) at width 30
+_BOTH_PATHS = [
+    (L.conv1d_same, 40, 5, 6, False),
+    (L.conv1d_same, 600, 32, 48, True),
+    (L.upsample_conv1d_same, 20, 5, 6, False),
+    (L.upsample_conv1d_same, 600, 48, 32, True),
+]
+
+
+@pytest.mark.parametrize("op, s_len, cin, filters, dft", _BOTH_PATHS)
+def test_conv_matches_a_correlate_reference_on_both_paths(op, s_len, cin, filters, dft):
+    rng = np.random.default_rng(s_len + cin)
+    x0 = rng.normal(size=(s_len, cin))
+    k0 = rng.normal(size=(filters, cin, 30))
+    b0 = rng.normal(size=filters)
+    upsample = op is L.upsample_conv1d_same
+    # the (offsets, phases*filters) of the M that the op reads
+    offsets, rows = (16, 2 * filters) if upsample else (30, filters)
+    assert bool(L._dft_length(s_len, offsets, cin, rows)) == dft
+    w = rng.normal(size=((2 if upsample else 1) * s_len, filters))
+    got = _taped_conv(op, x0, k0, b0, w)
+    want = (*_correlate_reference(x0, k0, b0, w, upsample), w.sum(axis=0))
+    for g, r in zip(got, want):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+@given(s_len=st.integers(1, 80), cin=st.integers(1, 4), filters=st.integers(1, 4),
+       width=st.integers(1, 31), upsample=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(s_len=35, cin=2, filters=3, width=30, upsample=False, seed=0)  # one whole block
+@example(s_len=36, cin=2, filters=3, width=30, upsample=False, seed=0)  # one row into a second
+@example(s_len=1, cin=1, filters=1, width=1, upsample=True, seed=0)
+def test_both_conv_algorithms_agree_at_every_shape(s_len, cin, filters, width, upsample, seed):
+    # each algorithm forced at every shape, whichever the rule would pick
+    rng = np.random.default_rng(seed)
+    op = L.upsample_conv1d_same if upsample else L.conv1d_same
+    x0 = rng.normal(size=(s_len, cin))
+    k0 = rng.normal(size=(filters, cin, width))
+    b0 = rng.normal(size=filters)
+    w = rng.normal(size=((2 if upsample else 1) * s_len, filters))
+    results = []
+    for rule in (lambda *shape: 0, lambda s, offsets, c, pf: 1 << (2 * offsets - 1).bit_length()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(L, "_dft_length", rule)
+            results.append(_taped_conv(op, x0, k0, b0, w))
+    for direct, dft in zip(*results):
+        assert np.max(np.abs(dft - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("op, s_len, cin, filters", [c[:4] for c in _BOTH_PATHS if c[4]])
+def test_conv_gradients_match_finite_differences_on_the_frequency_domain_path(op, s_len, cin, filters):
+    # the whole input and kernels would take tens of thousands of probes, so
+    # only a corner of each is the probed variable, joined to the rest by concat
+    rng = np.random.default_rng(70 + s_len)
+    x0 = rng.normal(size=(s_len, cin))
+    k0 = rng.normal(size=(filters, cin, 30)) * 0.2
+    b0 = rng.normal(size=filters)
+
+    def loss(x, k, b):
+        out = op(x, L.Conv1DParams(k, b))
+        return sum_all(ad.mul(out, out))
+
+    def kernels_with(corner):
+        return ad.concat(ad.concat(corner, Variable(k0[:1, 1:]), axis=1), Variable(k0[1:]), axis=0)
+
+    assert _fd(lambda v: loss(ad.concat(v, Variable(x0[1:]), axis=0), Variable(k0), Variable(b0)),
+               x0[:1]) <= 1e-4
+    assert _fd(lambda v: loss(Variable(x0), kernels_with(v), Variable(b0)), k0[:1, :1]) <= 1e-4
+    assert _fd(lambda v: loss(Variable(x0), Variable(k0), ad.concat(v, Variable(b0[4:]), axis=0)),
+               b0[:4]) <= 1e-4
+
+
+def test_the_rule_keeps_toy_sizes_and_short_inputs_on_the_direct_path():
+    # (frames, offsets, in_channels, phases*filters)
+    for shape in [(8, 3, 3, 64), (8, 3, 64, 96), (4, 3, 96, 192), (260, 9, 16, 64), (250, 30, 64, 64),
+                  (125, 30, 64, 96), (62, 16, 128, 192)]:
+        assert L._dft_length(*shape) == 0, shape
+    for shape in [(2500, 30, 64, 64), (1250, 30, 64, 96), (625, 16, 96, 192), (1250, 16, 96, 128),
+                  (2048, 30, 96, 96)]:
+        assert L._dft_length(*shape) == 1 << (2 * shape[1] - 1).bit_length(), shape
+
+
 @pytest.mark.parametrize("op", [L.conv1d_same, L.upsample_conv1d_same])
 def test_conv_gives_no_input_gradient_to_a_leaf_that_is_not_trainable(op):
     rng = np.random.default_rng(102)

@@ -3,6 +3,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from actionseg.errors import ContractError
 from actionseg.metrics import (Segment, edit_score, evaluate, frame_accuracy, levenshtein,
@@ -49,7 +51,7 @@ def test_edit_score_examples():
 
 def brute_force_lev(a, b):
     # plain recursive definition; memoized for speed, still independent of
-    # the iterative two-row DP it checks
+    # the bit-parallel algorithm it checks
     @lru_cache(maxsize=None)
     def rec(x, y):
         if not x:
@@ -68,6 +70,24 @@ def test_levenshtein_matches_brute_force_short_strings():
     for a in strings:
         for b in strings:
             assert levenshtein(a, b) == brute_force_lev(a, b)
+
+
+def dp_lev(a, b):
+    # the two-row dynamic program over a's prefixes
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+@given(st.lists(st.integers(0, 4), max_size=150), st.lists(st.integers(0, 4), max_size=150))
+@example(list(range(70)), list(range(1, 71)))  # columns longer than a 64-bit word
+@example([], [1, 2])
+def test_levenshtein_equals_the_dynamic_program(a, b):
+    assert levenshtein(a, b) == dp_lev(a, b) == levenshtein(b, a)
 
 
 def test_overlap_f1_identical_is_100_at_every_threshold():
