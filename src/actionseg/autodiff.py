@@ -13,6 +13,11 @@ replays that record in reverse creation order, which is a valid reverse
 topological order because a node is always created after its parents.
 Gradients accumulate additively when a node feeds several consumers, and the
 fixed replay order makes two identical runs produce bit-identical gradients.
+Backward consumes the graph as it goes: each node leaves the record and
+drops its rule and its parents before its rule runs, so what only that rule
+read is freed right after it, and a layer's rule may work in its forward
+buffers. What stays are the leaf gradients and the nodes the caller holds,
+each with its value and gradient.
 
 With no tape active, the same operations just compute values and record
 nothing, which is how inference runs without retaining a graph. The stack of
@@ -55,6 +60,8 @@ class Variable:
 
     Leaf variables (``parents == ()``) carry data into the graph; mark them
     ``trainable`` to have :meth:`Tape.backward` accumulate their gradients.
+    A node whose graph backward has consumed is a leaf too: fed to a new
+    graph, it is a constant.
     """
 
     __slots__ = ("value", "name", "trainable", "parents", "_backward", "_grad")
@@ -102,18 +109,27 @@ class Tape:
 
         ``loss`` must be a single-element variable. A leaf that never received
         a gradient reads zeros through ``grad`` (a disconnected variable is not
-        an error). The op record is cleared afterwards; leaf gradients stay
-        accumulated on the variables until ``zero_grad``.
+        an error).
+
+        Backward consumes the record: it pops each node and clears its rule
+        and ``parents`` before running the rule, holding no reference to the
+        node meanwhile. So a rule runs once, and an activation, op output or
+        intermediate gradient is freed once the last rule that reads it has
+        run. Afterwards ``ops`` is empty, leaf gradients stay accumulated on
+        the variables until ``zero_grad``, and a node the caller still holds
+        (the loss, say) keeps its value and its own gradient.
         """
         if loss.value.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
         _accum(loss, np.ones(loss.value.shape, dtype=np.float64))
-        for node in reversed(self.ops):
-            g = node._grad
-            if g is None or node._backward is None:
-                continue
-            node._backward(g)
-        self.ops.clear()
+        ops = self.ops
+        while ops:
+            node = ops.pop()
+            rule, g = node._backward, node._grad
+            node._backward, node.parents = None, ()
+            del node
+            if rule is not None and g is not None:
+                rule(g)
 
 
 def _accum(v: Variable, arr: np.ndarray) -> None:

@@ -674,13 +674,19 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
     pass every ``out`` positionally: at a few units per direction a step
     costs its calls, not its arithmetic.
 
-    The backward pass runs the same way over the gate-derivative factors
-    (see :func:`lstm_forward`), which its loop overwrites in place with the
-    gate gradient: one stacked (4H,) @ (4H, H) matmul per step, every other
-    call covering all directions. Its rows keep the gate order of the
-    forward pass, so row block k of each W_x, W_h and bias gradient is the
-    k-th field of its group. With ``upsample`` the row pairs of the gate
-    gradient are summed before the W_x and input-gradient GEMMs.
+    The backward pass works in the forward's buffers, which the tape lets
+    it do because a rule runs once (:func:`_gate_grads`). The
+    gate-derivative factors overwrite the activations in the gate buffer,
+    and the step loop overwrites them with the gate gradient; tanh(c)*o(1-o)
+    overwrites each step's cell state once the forget factor has read the
+    one before it. The loop runs the same way as the forward's: one stacked
+    (4H,) @ (4H, H) matmul per step, every other call covering all
+    directions. The rows keep the gate order of the forward pass, so row
+    block k of each W_x, W_h and bias gradient is the k-th field of its
+    group. Each step writes its gate gradient back direction-major, so the
+    products of every direction read its (T, 4H) rows as a strided view of
+    the gate buffer. With ``upsample`` the row pairs of the gate gradient
+    are summed before the W_x and input-gradient GEMMs.
     """
     x = as_variable(x)
     xd = x.value.data
@@ -733,41 +739,9 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
         block_vars = [var for p in units for _, var in p.blocks()]
         wants_dx = _wants_grad(x)
         def bw(g):
-            # the factors, per direction in the gate order, except that the o
-            # row first holds o(1-tanh^2 c), which carries the hidden gradient
-            # into the cell, and o's own factor is kept in tc, so neither needs
-            # a buffer of its own. Each step reads the o row, scales all four
-            # rows by the cell gradient, then sets the o row to o's factor
-            # times the hidden gradient; da is then the gate gradient
-            tc = np.tanh(cs[1:])
-            da = np.empty((t_len, n, 4, hidden), dtype=np.float64)
-            da[:, :, 0] = g_s * i_s * (1.0 - i_s)
-            da[:, :, 1] = cs[:-1] * f_s * (1.0 - f_s)
-            da[:, :, 2] = o_s * (1.0 - tc * tc)
-            da[:, :, 3] = i_s * (1.0 - g_s * g_s)
-            tc *= o_s
-            tc *= 1.0 - o_s
-            da_rows = da.reshape(t_len, n, 4 * hidden)
-            g = g.reshape(t_len, n, hidden)
-            dh_in = np.stack([_steps(g[:, d], d) for d in range(n)], axis=1)
-            dh = np.zeros((n, hidden), dtype=np.float64)
-            dc = np.zeros((n, hidden), dtype=np.float64)
-            dc_g = dc[:, None]
-            tmp = np.empty((n, hidden), dtype=np.float64)
-            wh = np.stack([w.wh_t.T for w in stacks])
-            dh_rec = dh.reshape(n, 1, hidden)
-            for g_t, da_o, da_t, o_t, da_row, f in zip(
-                    dh_in[::-1], da[:, :, 2][::-1], da[::-1], tc[::-1],
-                    da_rows.reshape(t_len, n, 1, 4 * hidden)[::-1], f_s[::-1]):
-                dh += g_t
-                dc += np.multiply(dh, da_o, tmp)
-                np.multiply(da_t, dc_g, da_t)
-                np.multiply(o_t, dh, da_o)
-                np.matmul(da_row, wh, dh_rec)
-                dc *= f
-            del dh_in, tc
+            da = _gate_grads(gates, cs, g, np.stack([w.wh_t.T for w in stacks]))
             for d, w in enumerate(stacks):
-                a = da_rows[:, d]
+                a = da[:, d]
                 dwh = a.T @ hs[:-1, d]
                 db = a.sum(axis=0)
                 if upsample:
@@ -780,11 +754,74 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
                     ad._accum(var, grad)
                 if wants_dx:
                     part = _steps(a @ w.wx, d)
-                    dx = part if d == 0 else dx + part
+                    dx = part if d == 0 else np.add(dx, part, dx)
+                    del part
+            del a  # before _accum copies dx
             if wants_dx:
                 ad._accum(x, dx)
         record(out, (x,) + tuple(block_vars), bw)
     return out
+
+
+def _gate_grads(gates: np.ndarray, cs: np.ndarray, g: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """The gate gradient (T, n, 4H), by BPTT in the forward's gate buffer, which it overwrites.
+
+    ``gates`` (T, 4, n, H) holds the activations i, f, o, g of every step
+    and ``cs`` (T+1, n, H) the cell states, row 0 the initial ones; ``g`` is
+    the output gradient (T, n*H) in frame order, ``wh`` (n, 4H, H) the
+    recurrent weights. First the gate-derivative factors overwrite their
+    gates: g*i(1-i), c_{t-1}*f(1-f), o(1-tanh^2 c) and i(1-g^2), after f is
+    copied aside for the cell gradient; then tanh(c)*o(1-o) overwrites
+    ``cs[1:]``. Each step of the loop adds the o row times the hidden
+    gradient to the cell gradient, scales its gate row by the cell gradient
+    into a direction-major scratch row, sets the o gate there to o's factor
+    times the hidden gradient, runs the recurrent GEMV on that row and
+    copies it back over the step's own gates. So the buffer read as (T, n,
+    4H) ends up holding the gate gradient of each direction and step. The
+    only arrays of the size of one gate are the copy of f and one scratch;
+    they and the loop's views of them go when this function returns, before
+    the caller forms the weight gradients.
+    """
+    t_len, _, n, hidden = gates.shape
+    i_s, f_s, o_s, g_s = gates.transpose(1, 0, 2, 3)
+    f_keep = f_s.copy()
+    tmp = np.multiply(g_s, i_s)
+    np.multiply(g_s, g_s, g_s)
+    np.subtract(1.0, g_s, g_s)
+    np.multiply(i_s, g_s, g_s)  # i(1-g^2)
+    np.subtract(1.0, i_s, i_s)
+    np.multiply(tmp, i_s, i_s)  # (g*i)(1-i)
+    np.multiply(cs[:-1], f_keep, tmp)
+    np.subtract(1.0, f_s, f_s)
+    np.multiply(tmp, f_s, f_s)  # (c*f)(1-f)
+    tc = np.tanh(cs[1:], cs[1:])
+    np.multiply(tc, tc, tmp)
+    np.subtract(1.0, tmp, tmp)
+    np.multiply(o_s, tmp, tmp)  # o(1-tanh^2 c)
+    tc *= o_s
+    np.subtract(1.0, o_s, o_s)
+    tc *= o_s  # (tanh(c)*o)(1-o)
+    o_s[...] = tmp
+    del tmp
+    g = g.reshape(t_len, n, hidden)
+    dh_in = np.stack([_steps(g[:, d], d) for d in range(n)], axis=1)
+    dh, dc = np.zeros((2, n, hidden), dtype=np.float64)
+    dh_rec = dh.reshape(n, 1, hidden)
+    tmp = np.empty((n, hidden), dtype=np.float64)
+    row = np.empty((n, 1, 4 * hidden), dtype=np.float64)
+    row_g = row.reshape(n, 4, hidden).transpose(1, 0, 2)  # row in the gate row's layout
+    row_o = row_g[2]
+    da = gates.reshape(t_len, n, 4 * hidden)
+    for g_t, a, a_o, tc_o, f, da_t in zip(dh_in[::-1], gates[::-1], o_s[::-1], tc[::-1],
+                                          f_keep[::-1], da.reshape(t_len, n, 1, -1)[::-1]):
+        dh += g_t
+        dc += np.multiply(dh, a_o, tmp)
+        np.multiply(a, dc, row_g)
+        np.multiply(tc_o, dh, row_o)
+        np.matmul(row, wh, dh_rec)
+        da_t[...] = row
+        dc *= f
+    return da
 
 
 def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
@@ -798,12 +835,13 @@ def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
     :func:`bilstm` runs over two directions.
 
     The backward pass first computes every gate-derivative factor for all T
-    at once, in the gate order: g*i(1-i), c_{t-1}*f(1-f), tanh(c)*o(1-o) and
-    i(1-g^2); o(1-tanh^2 c) carries the hidden gradient into the cell. Each
-    step of the loop scales the whole gate row by the cell gradient, sets
-    the o gate to its factor times the hidden gradient, and makes one
-    (1, 4H) @ (4H, H) product, writing into buffers that exist already. An
-    input that is a leaf and not trainable gets no gradient.
+    at once, in the gate order and over the forward's activations:
+    g*i(1-i), c_{t-1}*f(1-f), tanh(c)*o(1-o) and i(1-g^2); o(1-tanh^2 c)
+    carries the hidden gradient into the cell. Each step of the loop scales
+    the whole gate row by the cell gradient, sets the o gate to its factor
+    times the hidden gradient, and makes one (1, 4H) @ (4H, H) product on a
+    copy of the row, writing into buffers that exist already. An input that
+    is a leaf and not trainable gets no gradient.
     """
     hidden = p.hidden
     return _recurrence(x, (p,), h0=_state_vec(h0, hidden, "h0"), c0=_state_vec(c0, hidden, "c0"))
@@ -885,12 +923,13 @@ def _dropout_impl(x, rate: float, rng, training: bool, mask_shape) -> Variable:
         return x
     xd = x.value.data
     scale = 1.0 / (1.0 - rate)
-    mask = (rng.random(mask_shape(xd.shape)) >= rate) * scale
-    out = Variable(Tensor._wrap(xd * mask))
+    # kept as bool, an eighth of a float mask; keep * scale is exactly 0.0 or scale
+    keep = rng.random(mask_shape(xd.shape)) >= rate
+    out = Variable(Tensor._wrap(xd * (keep * scale)))
 
     if taping():
         def bw(g):
-            ad._accum(x, g * mask)
+            ad._accum(x, g * (keep * scale))
         record(out, (x,), bw)
     return out
 

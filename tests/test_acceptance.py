@@ -7,6 +7,7 @@ dependency experiment) take a few minutes combined on a small CPU.
 
 import itertools
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,6 +25,17 @@ from actionseg.autodiff import Variable
 from actionseg.metrics import Segment, edit_score, levenshtein, overlap_f1
 from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.train import cross_entropy_loss, finite_difference_report, predict, train
+
+
+def _one_thread_pool(workers, monkeypatch):
+    """A pool of spawned workers, each running BLAS on one thread.
+
+    The workers already share the cores; with numpy's default thread count
+    each would also start a BLAS thread per core, and the oversubscribed
+    threads spin.
+    """
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
 
 
 class _report:
@@ -56,11 +68,11 @@ def _gradcheck_variant(variant):
     return variant, rows, time.perf_counter() - started
 
 
-def test_criterion_1_gradient_fidelity():
+def test_criterion_1_gradient_fidelity(monkeypatch):
     with _report(1, "gradient fidelity, all variants, every parameter block <= 1e-4"):
         started = time.perf_counter()
         workers = max(1, min(len(VARIANTS), os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _one_thread_pool(workers, monkeypatch) as pool:
             results = list(pool.map(_gradcheck_variant, VARIANTS))
         elapsed = time.perf_counter() - started
         for variant, rows, seconds in results:
@@ -235,10 +247,10 @@ def _dependency_seed(seed):
     return seed, gap, margin, scores, ceiling
 
 
-def test_criterion_5_dependency_disambiguation():
+def test_criterion_5_dependency_disambiguation(monkeypatch):
     with _report(5, "recurrent decoder beats conv ablation on ambiguous segments"):
         workers = max(1, min(2, os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _one_thread_pool(workers, monkeypatch) as pool:
             results = list(pool.map(_dependency_seed, [1, 2, 3, 4, 5]))
         gaps = []
         margins = []

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,24 @@ def test_backward_clears_tape():
         x = Variable([1.0], trainable=True)
         loss = ad.sum_all(x)
     tape.backward(loss)
+    assert tape.ops == []
+
+
+def test_backward_releases_the_graph():
+    tape = Tape()
+    with tape:
+        x = Variable(np.arange(4.0), trainable=True)
+        w = Variable(np.full(4, 2.0), trainable=True)
+        y = ad.mul(x, w)
+        loss = ad.sum_all(ad.mul(y, y))
+    released = weakref.ref(y.value.data)
+    del y
+    tape.backward(loss)
+    assert released() is None
+    assert loss.grad.item() == 1.0
+    # loss = sum((x*w)^2): d/dx = 2*x*w*w, d/dw = 2*x*w*x
+    assert x.grad.tolist() == [0.0, 8.0, 16.0, 24.0]
+    assert w.grad.tolist() == [0.0, 4.0, 16.0, 36.0]
     assert tape.ops == []
 
 

@@ -570,6 +570,28 @@ def test_upsample_bilstm_untaped_memory_stays_below_the_composite():
     assert peak < 16.9e6, peak / 1e6
 
 
+def test_upsample_bilstm_backward_works_in_the_forward_buffers():
+    s_len, channels, hidden = 1000, 128, 64
+    rng = np.random.default_rng(106)
+    x = Variable(rng.normal(size=(s_len, channels)), trainable=True)
+    fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            loss = sum_all(L.upsample_bilstm(x, fwd, bwd))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == (s_len, channels)
+    # the backward's peak above what the forward holds: 20.98 MB with a
+    # second gate-sized buffer for the gate gradient, tanh(c) and the
+    # factors' temporaries; 5.35 MB working in the forward's buffers
+    assert peak - held < 10e6, (peak - held) / 1e6
+
+
 # softmax read-out
 
 
