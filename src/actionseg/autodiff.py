@@ -1,11 +1,11 @@
-"""The array operations of the package and their reverse-mode differentiation.
+"""Reverse-mode differentiation: the variable, the tape and the gradient check.
 
-Each operation is written once, here: it checks its operand shapes, computes
+The operations of the network are written in :mod:`actionseg.layers`, and
+its loss in :mod:`actionseg.train`. Each checks its operand shapes, computes
 its value with numpy into a fresh read-only :class:`~actionseg.tensor.Tensor`
-and, while a tape is active, records its backward rule. Elementwise
-operations accept one broadcasting rule, a row bias (shape (N,) or (1, N))
-against an (M, N) matrix, stated in ``_pointwise``; every other pair of
-shapes must match exactly.
+and, while a tape is active, records its backward rule with :func:`record`.
+The one operation written here is :func:`slice_axis`, with which the model
+trims its padded output.
 
 The graph is built as it runs: while a :class:`Tape` is active, every
 operation appends its output node to the tape's ordered record. ``backward``
@@ -35,17 +35,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
-__all__ = [
-    "Variable",
-    "Tape",
-    "add",
-    "mul",
-    "matmul",
-    "concat",
-    "slice_axis",
-    "sum_all",
-    "finite_diff_check",
-]
+__all__ = ["Variable", "Tape", "slice_axis", "finite_diff_check"]
 
 class _TapeStack(threading.local):
     def __init__(self):
@@ -133,10 +123,12 @@ class Tape:
 
 
 def _accum(v: Variable, arr: np.ndarray) -> None:
-    # Always copy on first write: backward rules may hand the same array to
-    # several parents.
+    # The first gradient is kept as given, not copied, and later ones are
+    # added into it in place. So a rule must hand each parent a float64
+    # array that the rule made, does not read again and gives no other
+    # parent; disjoint row blocks of one fresh array count as separate arrays.
     if v._grad is None:
-        v._grad = np.array(arr, dtype=np.float64)
+        v._grad = arr
     else:
         v._grad += arr
 
@@ -160,78 +152,6 @@ def as_variable(x) -> Variable:
     return Variable(x)
 
 
-def _pointwise(ufunc, a: Variable, b: Variable) -> Tensor:
-    """Apply ``ufunc`` elementwise under the one broadcasting rule of the package.
-
-    Shapes must match exactly, except a row bias: an operand of shape (N,) or
-    (1, N) against an (M, N) matrix. :func:`_unbroadcast` relies on this.
-    """
-    sa, sb = a.shape, b.shape
-    if sa != sb and not any(len(mat) == 2 and bias in ((mat[1],), (1, mat[1]))
-                            for mat, bias in ((sa, sb), (sb, sa))):
-        raise ShapeError(f"elementwise shape mismatch: {sa} vs {sb}")
-    return Tensor._wrap(ufunc(a.value.data, b.value.data))
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # _pointwise admits only a row bias, which is summed over the rows
-    return g if g.shape == shape else g.sum(axis=0).reshape(shape)
-
-
-def add(a, b) -> Variable:
-    a, b = as_variable(a), as_variable(b)
-    out = Variable(_pointwise(np.add, a, b))
-    if taping():
-        def bw(g):
-            _accum(a, _unbroadcast(g, a.value.shape))
-            _accum(b, _unbroadcast(g, b.value.shape))
-        record(out, (a, b), bw)
-    return out
-
-
-def mul(a, b) -> Variable:
-    a, b = as_variable(a), as_variable(b)
-    out = Variable(_pointwise(np.multiply, a, b))
-    if taping():
-        ad, bd = a.value.data, b.value.data
-        def bw(g):
-            _accum(a, _unbroadcast(g * bd, a.value.shape))
-            _accum(b, _unbroadcast(g * ad, b.value.shape))
-        record(out, (a, b), bw)
-    return out
-
-
-def matmul(a, b) -> Variable:
-    """Matrix product of an (M, K) and a (K, N) operand."""
-    a, b = as_variable(a), as_variable(b)
-    ad, bd = a.value.data, b.value.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    out = Variable(Tensor._wrap(ad @ bd))
-    if taping():
-        def bw(g):
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
-        record(out, (a, b), bw)
-    return out
-
-
-def concat(a, b, axis: int) -> Variable:
-    a, b = as_variable(a), as_variable(b)
-    sa, sb = a.shape, b.shape
-    if (len(sa) != len(sb) or not 0 <= axis < len(sa)
-            or any(d != axis and sa[d] != sb[d] for d in range(len(sa)))):
-        raise ShapeError(f"concat shape mismatch on axis {axis}: {sa} vs {sb}")
-    out = Variable(Tensor._wrap(np.concatenate([a.value.data, b.value.data], axis=axis)))
-    if taping():
-        split = sa[axis]
-        def bw(g):
-            _accum(a, np.take(g, range(split), axis=axis))
-            _accum(b, np.take(g, range(split, g.shape[axis]), axis=axis))
-        record(out, (a, b), bw)
-    return out
-
-
 def slice_axis(a, axis: int, start: int, stop: int) -> Variable:
     """Sub-range [start, stop) along one axis, as a copy; bounds must be non-empty and in range."""
     a = as_variable(a)
@@ -247,17 +167,6 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Variable:
             full = np.zeros(shape, dtype=np.float64)
             full[idx] = g
             _accum(a, full)
-        record(out, (a,), bw)
-    return out
-
-
-def sum_all(a) -> Variable:
-    a = as_variable(a)
-    out = Variable(Tensor._wrap(np.asarray(a.value.data.sum())))
-    if taping():
-        shape = a.value.shape
-        def bw(g):
-            _accum(a, np.broadcast_to(g, shape))
         record(out, (a,), bw)
     return out
 

@@ -640,29 +640,20 @@ def upsample_repeat(x) -> Variable:
     return out
 
 
-def _state_vec(v, hidden: int, what: str) -> np.ndarray:
-    if v is None:
-        return np.zeros(hidden, dtype=np.float64)
-    arr = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
-    if arr.shape != (hidden,):
-        raise ShapeError(f"{what} shape {arr.shape} does not match hidden size {hidden}")
-    return arr.astype(np.float64)
-
-
 def _steps(a: np.ndarray, d: int) -> np.ndarray:
     # direction d's rows in the order it steps through them: direction 1 runs backward in time
     return a[::-1] if d else a
 
 
-def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=None, c0=None) -> Variable:
+def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Variable:
     """One LSTM per direction over the frames, all directions in one loop; returns (T, n*H).
 
     ``units[0]`` steps through the frames in order and ``units[1]``, if
     given, in reverse; the output holds each direction's hidden states in
     frame order, side by side. With ``upsample`` the frames are the input
     rows each repeated twice, but the input projection x @ W_x.T + b is
-    computed on the un-repeated rows and repeated. ``h0`` and ``c0`` are
-    the initial states, broadcast to (n, H); zeros if None.
+    computed on the un-repeated rows and repeated. Every direction starts
+    from zero hidden and cell states.
 
     Each step's gate row is laid out gate x direction x unit, so one call of
     ``expit`` covers the three sigmoid gates of every direction and one call
@@ -707,12 +698,8 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
         del proj
     sig = gates.reshape(t_len, -1)[:, :3 * n * hidden]  # flat: expit is slower on a 3D view
     i_s, f_s, o_s, g_s = gates.transpose(1, 0, 2, 3)
-    # hs[t + 1] and cs[t + 1] are h and c after step t; row 0 the initial states
+    # hs[t + 1] and cs[t + 1] are h and c after step t; row 0 the zero initial states
     hs, cs = np.zeros((2, t_len + 1, n, hidden), dtype=np.float64)
-    if h0 is not None:
-        hs[0] = h0
-    if c0 is not None:
-        cs[0] = c0
     wh_t = np.concatenate([w.wh_t for w in stacks]).reshape(n, hidden, 4 * hidden)
     rec = np.empty((n, 1, 4 * hidden), dtype=np.float64)
     rec_g = rec.reshape(n, 4, hidden).transpose(1, 0, 2)  # rec in the gate row's layout
@@ -755,8 +742,6 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False, h0=Non
                 if wants_dx:
                     part = _steps(a @ w.wx, d)
                     dx = part if d == 0 else np.add(dx, part, dx)
-                    del part
-            del a  # before _accum copies dx
             if wants_dx:
                 ad._accum(x, dx)
         record(out, (x,) + tuple(block_vars), bw)
@@ -767,7 +752,7 @@ def _gate_grads(gates: np.ndarray, cs: np.ndarray, g: np.ndarray, wh: np.ndarray
     """The gate gradient (T, n, 4H), by BPTT in the forward's gate buffer, which it overwrites.
 
     ``gates`` (T, 4, n, H) holds the activations i, f, o, g of every step
-    and ``cs`` (T+1, n, H) the cell states, row 0 the initial ones; ``g`` is
+    and ``cs`` (T+1, n, H) the cell states, row 0 the zero initial ones; ``g`` is
     the output gradient (T, n*H) in frame order, ``wh`` (n, 4H, H) the
     recurrent weights. First the gate-derivative factors overwrite their
     gates: g*i(1-i), c_{t-1}*f(1-f), o(1-tanh^2 c) and i(1-g^2), after f is
@@ -824,27 +809,18 @@ def _gate_grads(gates: np.ndarray, cs: np.ndarray, g: np.ndarray, wh: np.ndarray
     return da
 
 
-def lstm_forward(x, p: LSTMParams, h0=None, c0=None) -> Variable:
+def lstm_forward(x, p: LSTMParams) -> Variable:
     """Run one recurrent unit over the sequence; returns the hidden states (T, H).
 
     Per step: i, f, o are sigmoid gates, the candidate g is a tanh, the cell
-    is c_t = f_t*c_{t-1} + i_t*g_t and the output is h_t = o_t*tanh(c_t). The
-    initial states default to zeros and receive no gradient. The input GEMM
-    is done once for all steps; the hidden and cell histories are kept in
-    (T+1, H) buffers whose row 0 holds h0 and c0. The loop is the one that
-    :func:`bilstm` runs over two directions.
-
-    The backward pass first computes every gate-derivative factor for all T
-    at once, in the gate order and over the forward's activations:
-    g*i(1-i), c_{t-1}*f(1-f), tanh(c)*o(1-o) and i(1-g^2); o(1-tanh^2 c)
-    carries the hidden gradient into the cell. Each step of the loop scales
-    the whole gate row by the cell gradient, sets the o gate to its factor
-    times the hidden gradient, and makes one (1, 4H) @ (4H, H) product on a
-    copy of the row, writing into buffers that exist already. An input that
-    is a leaf and not trainable gets no gradient.
+    is c_t = f_t*c_{t-1} + i_t*g_t and the output is h_t = o_t*tanh(c_t),
+    from zero initial states h_0 and c_0. This is the one-direction case of
+    :func:`_recurrence`, the loop that :func:`bilstm` runs over two
+    directions; its backward pass is described there and in
+    :func:`_gate_grads`. An input that is a leaf and not trainable gets no
+    gradient.
     """
-    hidden = p.hidden
-    return _recurrence(x, (p,), h0=_state_vec(h0, hidden, "h0"), c0=_state_vec(c0, hidden, "c0"))
+    return _recurrence(x, (p,))
 
 
 def bilstm(x, fwd: LSTMParams, bwd: LSTMParams) -> Variable:
@@ -915,16 +891,18 @@ def time_softmax_dense(d, p: DenseParams) -> Variable:
     return softmax_time(logits)
 
 
-def _dropout_impl(x, rate: float, rng, training: bool, mask_shape) -> Variable:
+def _dropout_impl(x, rate: float, rng, training: bool, spatial: bool) -> Variable:
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     x = as_variable(x)
+    xd = x.value.data
+    if spatial and xd.ndim != 2:
+        raise ShapeError(f"spatial_dropout input must be (frames, channels), got {x.value.shape}")
     if not training or rate == 0.0:
         return x
-    xd = x.value.data
     scale = 1.0 / (1.0 - rate)
     # kept as bool, an eighth of a float mask; keep * scale is exactly 0.0 or scale
-    keep = rng.random(mask_shape(xd.shape)) >= rate
+    keep = rng.random((1, xd.shape[1]) if spatial else xd.shape) >= rate
     out = Variable(Tensor._wrap(xd * (keep * scale)))
 
     if taping():
@@ -940,9 +918,12 @@ def dropout(x, rate: float, rng, training: bool) -> Variable:
     Inference mode is the identity, so the expected training output equals
     the input.
     """
-    return _dropout_impl(x, rate, rng, training, lambda s: s)
+    return _dropout_impl(x, rate, rng, training, spatial=False)
 
 
 def spatial_dropout(x, rate: float, rng, training: bool) -> Variable:
-    """Dropout that zeroes whole channels: one mask column shared by all frames."""
-    return _dropout_impl(x, rate, rng, training, lambda s: (1, s[1]))
+    """Dropout that zeroes whole channels: one mask column shared by all frames.
+
+    The input must be (frames, channels), in inference mode too.
+    """
+    return _dropout_impl(x, rate, rng, training, spatial=True)

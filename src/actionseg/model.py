@@ -27,7 +27,7 @@ Bi-LSTM as two rows.
 
 Each variant is written once, as the ordered stage table that :func:`build`
 makes (``Model.table``, one :class:`Stage` per wiring layer). Parameter names
-and order, :meth:`Model.stages`, :func:`describe` and the gradient checker's
+and order, :meth:`Model.forward`, :func:`describe` and the gradient checker's
 restart points are all read off that table.
 """
 
@@ -38,7 +38,7 @@ import json
 import numbers
 import struct
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -219,13 +219,6 @@ class Model:
             arr = np.concatenate([arr, np.repeat(arr[-1:], pad, axis=0)], axis=0)
         return arr, t_len
 
-    def stages(self, training: bool = False, rng=None) -> list:
-        """The forward pass as a chain of stage functions, one per table entry."""
-        cfg = self.config
-        if training and rng is None and (cfg.dropout_conv > 0 or cfg.dropout_lstm > 0):
-            raise ContractError("training forward with dropout needs an rng")
-        return [partial(stage, training=training, rng=rng) for stage in self.table]
-
     def forward(self, x, training: bool = False, rng=None) -> Variable:
         """Per-frame class probabilities, shape (frames, num_classes).
 
@@ -234,9 +227,12 @@ class Model:
         when training with a nonzero dropout rate.
         """
         arr, t_len = self.prepare_input(x)
+        cfg = self.config
+        if training and rng is None and (cfg.dropout_conv > 0 or cfg.dropout_lstm > 0):
+            raise ContractError("training forward with dropout needs an rng")
         v = Variable(Tensor._wrap(arr))
-        for fn in self.stages(training, rng):
-            v = fn(v)
+        for stage in self.table:
+            v = stage(v, training, rng)
         if v.value.shape[0] != t_len:
             v = slice_axis(v, 0, 0, t_len)
         return v

@@ -5,10 +5,9 @@ underlying buffer is marked read-only, so concurrent use on distinct inputs
 needs no locking. Storage is row-major with time as the leading axis for all
 sequence data (frames x channels).
 
-This module holds only the value type. The array operations are written once,
-in :mod:`actionseg.autodiff`: with no tape active they just compute values,
-so they serve inference as well as training. That module also states the one
-broadcasting rule the elementwise operations accept.
+This module holds only the value type. The operations are written once, in
+:mod:`actionseg.layers`: with no tape active (:mod:`actionseg.autodiff`) they
+just compute values, so they serve inference as well as training.
 """
 
 from __future__ import annotations

@@ -3,44 +3,66 @@ import weakref
 import numpy as np
 import pytest
 
-from actionseg import autodiff as ad
-from actionseg.autodiff import Tape, Variable, finite_diff_check
+from actionseg import layers as L
+from actionseg.autodiff import Tape, Variable, _accum, finite_diff_check, record, slice_axis, taping
 from actionseg.errors import ContractError
+from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.tensor import Tensor
+from actionseg.train import cross_entropy_loss
+from tape_helpers import dot
+
+
+def _conv(rng, filters, channels, width):
+    return L.Conv1DParams(Variable(rng.normal(size=(filters, channels, width))),
+                          Variable(rng.normal(size=filters)))
 
 
 def test_grad_of_sum_is_ones():
     tape = Tape()
     with tape:
         x = Variable(np.arange(6, dtype=np.float64).reshape(2, 3), trainable=True)
-        loss = ad.sum_all(x)
+        loss = dot(x, np.ones((2, 3)))
     tape.backward(loss)
     assert np.array_equal(x.grad.data, np.ones((2, 3)))
 
 
 def test_grad_of_sum_of_squares_hand():
+    # one rule hands the same leaf two gradients
     tape = Tape()
     with tape:
         x = Variable([1.0, 2.0], trainable=True)
-        loss = ad.sum_all(ad.mul(x, x))
+        loss = dot(x, x)
     tape.backward(loss)
     assert x.grad.tolist() == [2.0, 4.0]
 
 
 def test_fanout_accumulates():
-    tape = Tape()
-    with tape:
-        y = Variable([1.0, 1.0, 1.0], trainable=True)
-        loss = ad.add(ad.sum_all(y), ad.sum_all(y))
-    tape.backward(loss)
-    assert y.grad.tolist() == [2.0, 2.0, 2.0]
+    # one Conv1DParams applied twice gets the sum of the gradients that two
+    # copies of it get, one per application
+    rng = np.random.default_rng(12)
+    x0 = rng.normal(size=(7, 3))
+    w = rng.normal(size=(7, 3))
+    shared = _conv(rng, 3, 3, 4)
+    inner, outer = (L.Conv1DParams(Variable(shared.kernels.value), Variable(shared.bias.value))
+                    for _ in range(2))
+    for first, second in ((shared, shared), (inner, outer)):
+        for p in (first, second):
+            p.kernels.trainable = p.bias.trainable = True
+        tape = Tape()
+        with tape:
+            loss = dot(L.conv1d_same(L.conv1d_same(Variable(x0), first), second), w)
+        tape.backward(loss)
+    for name in ("kernels", "bias"):
+        both = getattr(inner, name)._grad + getattr(outer, name)._grad
+        assert np.array_equal(getattr(shared, name)._grad, both)
+        assert not np.array_equal(getattr(inner, name)._grad, getattr(outer, name)._grad)
 
 
 def test_loss_grad_with_respect_to_itself_is_one():
     tape = Tape()
     with tape:
-        x = Variable([3.0], trainable=True)
-        loss = ad.sum_all(x)
+        x = Variable([[3.0]], trainable=True)
+        loss = dot(L.norm_relu(x), np.ones((1, 1)))
     tape.backward(loss)
     assert loss.grad.item() == 1.0
 
@@ -48,8 +70,8 @@ def test_loss_grad_with_respect_to_itself_is_one():
 def test_non_scalar_loss_rejected():
     tape = Tape()
     with tape:
-        x = Variable([1.0, 2.0], trainable=True)
-        y = ad.mul(x, x)
+        x = Variable([[1.0, 2.0]], trainable=True)
+        y = L.norm_relu(x)
     with pytest.raises(ContractError):
         tape.backward(y)
 
@@ -57,18 +79,19 @@ def test_non_scalar_loss_rejected():
 def test_disconnected_variable_gets_zero_grad():
     tape = Tape()
     with tape:
-        x = Variable([1.0, 2.0], trainable=True)
+        x = Variable([[1.0, 2.0]], trainable=True)
         unused = Variable([5.0], trainable=True)
-        loss = ad.sum_all(x)
+        loss = dot(L.norm_relu(x), np.ones((1, 2)))
     tape.backward(loss)
     assert unused.grad.tolist() == [0.0]
+    assert unused._grad is None
 
 
 def test_backward_clears_tape():
     tape = Tape()
     with tape:
-        x = Variable([1.0], trainable=True)
-        loss = ad.sum_all(x)
+        x = Variable([[1.0]], trainable=True)
+        loss = dot(L.upsample_repeat(x), np.ones((2, 1)))
     tape.backward(loss)
     assert tape.ops == []
 
@@ -76,46 +99,49 @@ def test_backward_clears_tape():
 def test_backward_releases_the_graph():
     tape = Tape()
     with tape:
-        x = Variable(np.arange(4.0), trainable=True)
-        w = Variable(np.full(4, 2.0), trainable=True)
-        y = ad.mul(x, w)
-        loss = ad.sum_all(ad.mul(y, y))
+        x = Variable(np.arange(4.0).reshape(2, 2), trainable=True)
+        y = L.upsample_repeat(x)
+        loss = dot(y, y)
     released = weakref.ref(y.value.data)
     del y
     tape.backward(loss)
     assert released() is None
     assert loss.grad.item() == 1.0
-    # loss = sum((x*w)^2): d/dx = 2*x*w*w, d/dw = 2*x*w*x
-    assert x.grad.tolist() == [0.0, 8.0, 16.0, 24.0]
-    assert w.grad.tolist() == [0.0, 4.0, 16.0, 36.0]
+    # loss = 2 * sum(x^2): d/dx = 4x
+    assert x.grad.tolist() == [[0.0, 4.0], [8.0, 12.0]]
     assert tape.ops == []
 
 
-def test_backward_bit_identical_across_runs():
-    def run():
-        rng = np.random.default_rng(7)
-        tape = Tape()
-        with tape:
-            x = Variable(rng.normal(size=(3, 3)), trainable=True)
-            w = Variable(rng.normal(size=(3, 3)), trainable=True)
-            y = ad.matmul(x, w)
-            loss = ad.sum_all(ad.mul(y, y))
-        tape.backward(loss)
-        return x.grad.data.copy(), w.grad.data.copy()
+def _seeded_step():
+    rng = np.random.default_rng(7)
+    x = Variable(rng.normal(size=(6, 3)), trainable=True)
+    conv = _conv(rng, 4, 3, 3)
+    dense = L.DenseParams(Variable(rng.normal(size=(2, 4))), Variable(rng.normal(size=2)))
+    leaves = [x, conv.kernels, conv.bias, dense.W, dense.b]
+    for v in leaves:
+        v.trainable = True
+    tape = Tape()
+    with tape:
+        probs = L.time_softmax_dense(L.norm_relu(L.conv1d_same(x, conv)), dense)
+        loss = cross_entropy_loss(probs, [0, 1, 1, 0, 1, 0])
+    tape.backward(loss)
+    return [v.grad.data for v in leaves]
 
-    gx1, gw1 = run()
-    gx2, gw2 = run()
-    assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+def test_backward_bit_identical_across_runs():
+    for first, second in zip(_seeded_step(), _seeded_step()):
+        assert first.tobytes() == second.tobytes()
 
 
 def test_zeroing_and_rerunning_reproduces_gradients():
     rng = np.random.default_rng(8)
-    x = Variable(rng.normal(size=(4,)), trainable=True)
+    x = Variable(rng.normal(size=(4, 2)), trainable=True)
+    w = rng.normal(size=(4, 2))
 
     def run_once():
         tape = Tape()
         with tape:
-            loss = ad.sum_all(ad.mul(ad.mul(x, x), x))
+            loss = dot(L.norm_relu(x), w)
         tape.backward(loss)
         out = x.grad.data.copy()
         x.zero_grad()
@@ -125,40 +151,78 @@ def test_zeroing_and_rerunning_reproduces_gradients():
 
 
 def test_grads_accumulate_across_backward_until_zeroed():
-    x = Variable([1.0], trainable=True)
+    x = Variable([[1.0]], trainable=True)
     for _ in range(2):
         tape = Tape()
         with tape:
-            loss = ad.sum_all(x)
+            loss = dot(L.upsample_repeat(x), np.ones((2, 1)))
         tape.backward(loss)
-    assert x.grad.item() == 2.0
+    assert x.grad.item() == 4.0
+    x.zero_grad()
+    assert x.grad.item() == 0.0
 
 
 def test_ops_without_tape_record_nothing():
-    x = Variable([1.0, 2.0], trainable=True)
-    y = ad.mul(x, x)
+    x = Variable([[1.0, 2.0]], trainable=True)
+    y = L.norm_relu(x)
     assert y.parents == () and y._backward is None
 
 
 def test_bias_broadcast_gradient():
+    # a conv bias is broadcast over the frames, so its gradient sums them
     tape = Tape()
     with tape:
-        m = Variable(np.ones((3, 2)), trainable=True)
+        x = Variable(np.ones((3, 1)))
         b = Variable([1.0, 2.0], trainable=True)
-        loss = ad.sum_all(ad.add(m, b))
+        out = L.conv1d_same(x, L.Conv1DParams(Variable(np.zeros((2, 1, 1))), b))
+        loss = dot(out, np.ones((3, 2)))
     tape.backward(loss)
     assert b.grad.tolist() == [3.0, 3.0]
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_taped_step_gives_every_parameter_its_own_gradient_memory(variant):
+    # _accum keeps the first gradient it is handed, so no rule may hand one
+    # array, or overlapping views of it, to two parents
+    model = build(ModelConfig(input_dim=3, num_classes=2, variant=variant, k=2, conv_len=5,
+                              hidden=4, seed=9))
+    x = np.random.default_rng(10).normal(size=(13, 3))
+    tape = Tape()
+    with tape:
+        probs = model.forward(x, training=True, rng=np.random.default_rng(11))
+        loss = cross_entropy_loss(probs, np.arange(13) % 2)
+    tape.backward(loss)
+    grads = [v._grad for v in model.params.values()]
+    assert all(g is not None for g in grads)
+    for i, g in enumerate(grads):
+        assert g.dtype == np.float64 and g.flags.writeable
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+        assert not any(np.shares_memory(g, v.value.data) for v in model.params.values())
+
+
 def test_finite_diff_linear_is_exact():
-    err = finite_diff_check(lambda v: ad.sum_all(v), Tensor([1.0, -2.0, 3.0]), eps=1e-5)
+    err = finite_diff_check(lambda v: dot(v, np.ones(3)), Tensor([1.0, -2.0, 3.0]), eps=1e-5)
     assert err <= 1e-10
+
+
+def _cube(v):
+    # v*v*v elementwise, a rule written with record as a layer writes one;
+    # the gradient sums the product rule's three terms
+    vd = v.value.data
+    out = Variable(vd * vd * vd)
+    if taping():
+        def bw(g):
+            gv = g * vd
+            _accum(v, g * (vd * vd) + gv * vd + gv * vd)
+        record(out, (v,), bw)
+    return out
 
 
 def test_finite_diff_cubic():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(-1.0, 1.0, size=(5,)))
-    err = finite_diff_check(lambda v: ad.sum_all(ad.mul(ad.mul(v, v), v)), x, eps=1e-5)
+    err = finite_diff_check(lambda v: dot(_cube(v), np.ones(5)), x, eps=1e-5)
     assert err <= 1e-6
 
 
@@ -167,7 +231,7 @@ def test_finite_diff_gives_every_evaluation_its_own_tensor():
 
     def f(v):
         seen.append(v.value)
-        return ad.sum_all(ad.mul(v, v))
+        return dot(v, v)
     finite_diff_check(f, Tensor([1.0, -2.0, 3.0]), eps=1e-5)
     assert len(seen) == 1 + 2 * 3
     assert len({id(t) for t in seen}) == len(seen)
@@ -176,24 +240,18 @@ def test_finite_diff_gives_every_evaluation_its_own_tensor():
 
 def test_finite_diff_rejects_non_scalar():
     with pytest.raises(ContractError):
-        finite_diff_check(lambda v: ad.mul(v, v), Tensor([1.0, 2.0]))
+        finite_diff_check(lambda v: L.norm_relu(v), Tensor([1.0, 2.0]))
 
 
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ContractError):
-        finite_diff_check(lambda v: ad.sum_all(v), Tensor([1.0]), eps=0.0)
+        finite_diff_check(lambda v: dot(v, np.ones(1)), Tensor([1.0]), eps=0.0)
 
 
-def test_matmul_transpose_concat_slice_reduce_gradients():
-    rng = np.random.default_rng(9)
-    a0 = Tensor(rng.normal(size=(3, 4)))
-
-    def f_matmul(v):
-        w = Variable(rng2)
-        return ad.sum_all(ad.mul(ad.matmul(v, w), ad.matmul(v, w)))
-
-    rng2 = np.random.default_rng(10).normal(size=(4, 2))
-    assert finite_diff_check(f_matmul, a0) <= 1e-6
-    other = Variable(np.random.default_rng(11).normal(size=(3, 4)))
-    assert finite_diff_check(lambda v: ad.sum_all(ad.mul(ad.concat(v, other, 1), ad.concat(v, other, 1))), a0) <= 1e-6
-    assert finite_diff_check(lambda v: ad.sum_all(ad.mul(ad.slice_axis(v, 0, 1, 3), ad.slice_axis(v, 0, 1, 3))), a0) <= 1e-6
+def test_slice_axis_gradient_matches_finite_differences():
+    a0 = Tensor(np.random.default_rng(9).normal(size=(3, 4)))
+    for axis, start, stop in ((0, 1, 3), (1, 0, 2)):
+        def f(v):
+            part = slice_axis(v, axis, start, stop)
+            return dot(part, part)
+        assert finite_diff_check(f, a0) <= 1e-6

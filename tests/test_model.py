@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from actionseg.autodiff import Tape, Variable
-from actionseg.errors import ConfigError, LoadError, ShapeError
+from actionseg.errors import ConfigError, ContractError, LoadError, ShapeError
 from actionseg.model import (VARIANTS, ModelConfig, build, describe, format_describe,
                              load_checkpoint, save_checkpoint)
 
@@ -125,10 +125,17 @@ def test_describe_stage_shapes_match_stages(variant):
         described[name.split(".")[0]] = shape
     cur = Variable(RNG.normal(size=(t, 3)))
     produced = []
-    for stage in m.stages():
+    for stage in m.table:
         cur = stage(cur)
         produced.append(cur.value.shape)
     assert produced == list(described.values())
+
+
+def test_training_forward_with_dropout_needs_an_rng():
+    x = RNG.normal(size=(8, 3))
+    with pytest.raises(ContractError):
+        build(toy_config(dropout_conv=0.3)).forward(x, training=True)
+    assert build(toy_config()).forward(x, training=True).value.shape == (8, 2)
 
 
 def test_tapes_are_per_thread():
@@ -177,7 +184,7 @@ def test_variants_share_encoder_outputs_given_same_seed():
         m = build(toy_config(v))
         arr, _ = m.prepare_input(x)
         cur = Variable(arr)
-        for stage in m.stages()[:m.config.k]:
+        for stage in m.table[:m.config.k]:
             cur = stage(cur)
         outputs.append(cur.value.data)
     for out in outputs[1:]:
