@@ -321,7 +321,9 @@ def load_features(path) -> Tensor:
     blob = _read(path)
     if blob[:4] == _FEATURE_MAGIC:
         return Tensor._wrap(_load_features_binary(path, blob))
-    return Tensor._wrap(_load_features_text(path, _read_text(path, blob)))
+    text = _read_text(path, blob)
+    del blob  # the parse holds the text and its lines, not the bytes as well
+    return Tensor._wrap(_load_features_text(path, text))
 
 
 def load_dataset(manifest_path) -> Dataset:

@@ -25,6 +25,7 @@ maximum) route their gradient to the earliest maximal index.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -652,18 +653,29 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     given, in reverse; the output holds each direction's hidden states in
     frame order, side by side. With ``upsample`` the frames are the input
     rows each repeated twice, but the input projection x @ W_x.T + b is
-    computed on the un-repeated rows and repeated. Every direction starts
-    from zero hidden and cell states.
+    computed on the un-repeated rows. Every direction starts from zero
+    hidden and cell states.
+
+    Per-step history is kept only for a tape, which BPTT reads. There is one
+    step loop; what differs is the rows it walks over.
+
+    - Taped: the gate buffer (T, 4, n, H) holds each step's projection plus
+      bias, repeated for ``upsample``, and the step turns it into the gates
+      in place; ``cs`` (T+1, n, H) keeps every cell state and ``hs`` every
+      hidden state, and the output is a frame-ordered copy of ``hs``.
+    - Untaped: the projection plus bias is kept for the S input rows only,
+      and step t reads row t // 2 with ``upsample``; each step adds the
+      recurrent term into one reused gate row and updates one cell row in
+      place; ``hs`` is the output buffer, in which direction 1 is put in
+      frame order in place at the end.
 
     Each step's gate row is laid out gate x direction x unit, so one call of
     ``expit`` covers the three sigmoid gates of every direction and one call
     of every other elementwise function covers all directions; the
     recurrent product h @ W_h.T is one stacked matmul, a GEMV per direction,
-    into a reused row. Each direction's projection is added to its bias
-    straight into the gate buffer, and the recurrent term is added in
-    place. tanh(c) is not kept; the backward pass recomputes it. The loops
-    pass every ``out`` positionally: at a few units per direction a step
-    costs its calls, not its arithmetic.
+    into a reused row. tanh(c) is not kept; the backward pass recomputes
+    it. The loops pass every ``out`` positionally: at a few units per
+    direction a step costs its calls, not its arithmetic.
 
     The backward pass works in the forward's buffers, which the tape lets
     it do because a rule runs once (:func:`_gate_grads`). The
@@ -689,62 +701,79 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     s_len = xd.shape[0]
     repeat = 2 if upsample else 1
     t_len = repeat * s_len
+    taped = taping()
 
-    gates = np.empty((t_len, 4, n, hidden), dtype=np.float64)  # step, gate, direction, unit
-    slots = gates.reshape(s_len, repeat, 4, n, hidden)
+    # taped: the projection plus bias of every step, which the steps turn
+    # into the gates; untaped: of every input row, read by its steps
+    proj_rows = np.empty((t_len if taped else s_len, 4, n, hidden), dtype=np.float64)
+    slots = proj_rows.reshape(-1, repeat if taped else 1, 4, n, hidden)
     for d, w in enumerate(stacks):
         proj = (xd @ w.wx.T).reshape(s_len, 1, 4, hidden)
         np.add(_steps(proj, d), w.b, slots[:, :, :, d])
         del proj
-    sig = gates.reshape(t_len, -1)[:, :3 * n * hidden]  # flat: expit is slower on a 3D view
-    i_s, f_s, o_s, g_s = gates.transpose(1, 0, 2, 3)
+    # untaped, the gates and the cell state are one row each
+    gates = proj_rows if taped else np.empty((4, n, hidden), dtype=np.float64)
+    sig = gates.reshape(-1, 4 * n * hidden)[:, :3 * n * hidden]  # flat: expit is slower on a 3D view
+    i_s, f_s, o_s, g_s = gates.swapaxes(0, -3)
     # hs[t + 1] and cs[t + 1] are h and c after step t; row 0 the zero initial states
-    hs, cs = np.zeros((2, t_len + 1, n, hidden), dtype=np.float64)
+    hs = np.zeros((t_len + 1, n, hidden), dtype=np.float64)
+    cs = np.zeros((t_len + 1, n, hidden) if taped else (n, hidden), dtype=np.float64)
+    if taped:
+        step_rows = (gates, gates, sig, g_s, f_s, i_s, o_s, cs[:-1], cs[1:])
+    else:
+        # step t reads input row t // repeat, and every step the same rows
+        step_rows = (itertools.chain.from_iterable(zip(*[proj_rows] * repeat)),
+                     *map(itertools.repeat, (gates, sig, g_s, f_s, i_s, o_s, cs, cs)))
     wh_t = np.concatenate([w.wh_t for w in stacks]).reshape(n, hidden, 4 * hidden)
     rec = np.empty((n, 1, 4 * hidden), dtype=np.float64)
     rec_g = rec.reshape(n, 4, hidden).transpose(1, 0, 2)  # rec in the gate row's layout
     tmp = np.empty((n, hidden), dtype=np.float64)  # i*g, then tanh(c)
 
     # zip hands each step its rows as views, without indexing in Python
-    for a, sg, cd, f, i, o, c_prev, c, h, h_prev in zip(
-            gates, sig, g_s, f_s, i_s, o_s, cs[:-1], cs[1:], hs[1:],
-            hs[:-1].reshape(t_len, n, 1, hidden)):
+    for p, a, sg, cd, f, i, o, c_prev, c, h, h_prev in zip(
+            *step_rows, hs[1:], hs[:-1].reshape(t_len, n, 1, hidden)):
         np.matmul(h_prev, wh_t, rec)
-        a += rec_g
+        np.add(p, rec_g, a)
         expit(sg, sg)
         np.tanh(cd, cd)
         np.multiply(f, c_prev, c)
         c += np.multiply(i, cd, tmp)
         np.multiply(o, np.tanh(c, tmp), h)
-    del wh_t  # a copy of both W_h.T: freed before the output is built, the untaped peak
+    del wh_t  # a copy of both W_h.T: freed before the output is built
+
+    if not taped:
+        # hs is the output: the projections go first (p, the last step's row
+        # of them, included), then direction 1 is put in frame order in place
+        del p, proj_rows, slots, step_rows
+        body = hs[1:]
+        body[:, 1:] = body[::-1, 1:]
+        return Variable(Tensor._wrap(body.reshape(t_len, n * hidden)))
 
     out = Variable(Tensor._wrap(np.concatenate([_steps(hs[1:, d], d) for d in range(n)], axis=1)))
-
-    if taping():
-        # bind the block variables now: the params objects may be re-pointed
-        # at other variables by the time backward runs
-        block_vars = [var for p in units for _, var in p.blocks()]
-        wants_dx = _wants_grad(x)
-        def bw(g):
-            da = _gate_grads(gates, cs, g, np.stack([w.wh_t.T for w in stacks]))
-            for d, w in enumerate(stacks):
-                a = da[:, d]
-                dwh = a.T @ hs[:-1, d]
-                db = a.sum(axis=0)
-                if upsample:
-                    a = a[0::2] + a[1::2]
-                dwx = a.T @ np.ascontiguousarray(_steps(xd, d))
-                # row block k of each gradient is the k-th field of its group
-                grads = (*dwx.reshape(4, hidden, -1), *dwh.reshape(4, hidden, hidden),
-                         *db.reshape(4, hidden))
-                for var, grad in zip(block_vars[12 * d:12 * (d + 1)], grads):
-                    ad._accum(var, grad)
-                if wants_dx:
-                    part = _steps(a @ w.wx, d)
-                    dx = part if d == 0 else np.add(dx, part, dx)
+    # bind the block variables now: the params objects may be re-pointed
+    # at other variables by the time backward runs
+    block_vars = [var for p in units for _, var in p.blocks()]
+    wants_dx = _wants_grad(x)
+    def bw(g):
+        da = _gate_grads(gates, cs, g, np.stack([w.wh_t.T for w in stacks]))
+        for d, w in enumerate(stacks):
+            a = da[:, d]
+            dwh = a.T @ hs[:-1, d]
+            db = a.sum(axis=0)
+            if upsample:
+                a = a[0::2] + a[1::2]
+            dwx = a.T @ np.ascontiguousarray(_steps(xd, d))
+            # row block k of each gradient is the k-th field of its group
+            grads = (*dwx.reshape(4, hidden, -1), *dwh.reshape(4, hidden, hidden),
+                     *db.reshape(4, hidden))
+            for var, grad in zip(block_vars[12 * d:12 * (d + 1)], grads):
+                ad._accum(var, grad)
             if wants_dx:
-                ad._accum(x, dx)
-        record(out, (x,) + tuple(block_vars), bw)
+                part = _steps(a @ w.wx, d)
+                dx = part if d == 0 else np.add(dx, part, dx)
+        if wants_dx:
+            ad._accum(x, dx)
+    record(out, (x,) + tuple(block_vars), bw)
     return out
 
 

@@ -290,7 +290,8 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
     ``model.params`` (stage table) order. The report runs on a shadow of the
     stage table (``Stage.shadow``): the same read-only values under fresh
     variables, so its taped passes never touch the model's variables or
-    their gradients. Stage outputs upstream of the owning stage do not
+    their gradients; the gradients they leave on the shadow are dropped after
+    each block's check. Stage outputs upstream of the owning stage do not
     depend on the block, so they are computed once; each probe reruns from a
     copy of the owning stage built around the probe variable (``Stage.swap``).
     """
@@ -308,5 +309,13 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
             u = slice_axis(u, 0, 0, t_len)
         return cross_entropy_loss(u, labels)
 
-    return [(name, finite_diff_check(partial(loss_from, s, name), var.value, eps))
-            for s, stage in enumerate(table) for name, var in stage.params()]
+    def check(s, name, var):
+        error = finite_diff_check(partial(loss_from, s, name), var.value, eps)
+        # the taped pass left gradients on the shadow variables it reached,
+        # which nothing reads
+        for stage in table[s:]:
+            for _, shadow_var in stage.params():
+                shadow_var.zero_grad()
+        return error
+
+    return [(name, check(s, name, var)) for s, stage in enumerate(table) for name, var in stage.params()]

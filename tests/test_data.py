@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,23 @@ def test_load_features_sniffs_format(tmp_path):
     a = load_features(tmp_path / "t" / "s0.features.txt")
     b = load_features(tmp_path / "b" / "s0.features.bin")
     assert np.array_equal(a.data, b.data)
+
+
+def test_text_features_are_parsed_without_holding_the_file_bytes(tmp_path):
+    rng = np.random.default_rng(81)
+    sample = SequenceSample("v", Tensor(rng.normal(size=(1000, 64))), np.zeros(1000, dtype=np.int64))
+    save_dataset(Dataset(DatasetManifest(["a", "b"], 64, {"test": ["v"]}), {"v": sample}), tmp_path)
+    path = tmp_path / "v.features.txt"
+    tracemalloc.start()
+    try:
+        feats = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(feats.data, sample.features.data)
+    # the 1.26 MB file peaks at 3.51 times its size with its bytes held
+    # beside the text and its lines, and at 2.51 times without them
+    assert peak < 3 * path.stat().st_size, peak / path.stat().st_size
 
 
 @pytest.mark.parametrize("binary, renamed", [(True, ("s0.features.bin", "s0.features.txt")),

@@ -10,7 +10,7 @@ from actionseg.autodiff import Tape, Variable, finite_diff_check
 from actionseg.data import SynthConfig, synth_generate
 from actionseg.errors import ContractError
 from actionseg.layers import Conv1DParams, DenseParams, LSTMParams, softmax_time
-from actionseg.model import VARIANTS, ModelConfig, build
+from actionseg.model import VARIANTS, ModelConfig, Stage, build
 from actionseg.tensor import Tensor
 from actionseg.train import (AdamState, TrainingDiverged, adam_step, cross_entropy_loss,
                              finite_difference_report, predict, train)
@@ -320,6 +320,24 @@ def test_finite_difference_report_never_touches_the_models_variables(monkeypatch
     rows = finite_difference_report(model, RNG.normal(size=(4, 2)), [0, 1, 0, 1])
     assert [name for name, _ in rows] == list(model.params)
     assert checked == [p.value.shape for p in model.params.values()]
+
+
+def test_finite_difference_report_leaves_no_gradient_on_its_shadow(monkeypatch):
+    model = build(ModelConfig(input_dim=2, num_classes=2, variant="full", k=1, conv_len=2,
+                              hidden=2, dropout_conv=0.0, dropout_lstm=0.0, seed=8))
+    real = Stage.shadow
+    shadows = []
+
+    def recording(stage):
+        shadows.append(real(stage))
+        return shadows[-1]
+
+    monkeypatch.setattr(Stage, "shadow", recording)
+    rows = finite_difference_report(model, RNG.normal(size=(4, 2)), [0, 1, 0, 1])
+    assert len(rows) == len(model.params)
+    assert len(shadows) == len(model.table)
+    held = [name for stage in shadows for name, var in stage.params() if var._grad is not None]
+    assert not held, f"{held} hold a gradient after the report"
 
 
 def test_divergence_names_the_first_non_finite_gradient_block(monkeypatch):
