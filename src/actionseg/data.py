@@ -105,10 +105,6 @@ class Dataset:
         return [self.samples[sid] for sid in self.manifest.splits[name]]
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
 def save_dataset(dataset: Dataset, out_dir, binary: bool = False) -> Path:
     """Write manifest plus per-sample feature/label files; returns the manifest path."""
     out = Path(out_dir)
@@ -138,7 +134,8 @@ def save_dataset(dataset: Dataset, out_dir, binary: bool = False) -> Path:
                 fh.write(arr.astype("<f8").tobytes())
         else:
             rows = [f"{arr.shape[0]} {arr.shape[1]}"]
-            rows += [" ".join(_fmt_float(v) for v in row) for row in arr]
+            # the repr of each Python float: the shortest text that parses back to its bits
+            rows += [" ".join(map(repr, row)) for row in arr.tolist()]
             (out / f"{sid}.features.txt").write_text("\n".join(rows) + "\n")
         (out / f"{sid}.labels.txt").write_text(
             "\n".join(str(int(v)) for v in sample.labels) + "\n")
@@ -263,7 +260,8 @@ def _load_features_text(path: Path, text: str) -> np.ndarray:
             _check_finite_rows(path, out[:i])
             raise LoadError(f"{path}:{i + 2}: expected {dim} values, got {len(parts)}")
         try:
-            out[i] = [float(p) for p in parts]
+            # numpy converts each string with Python's float(), in one call per row
+            out[i] = parts
         except ValueError as exc:
             _check_finite_rows(path, out[:i])
             raise LoadError(f"{path}:{i + 2}: non-numeric value") from exc

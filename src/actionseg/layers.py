@@ -405,6 +405,12 @@ def _dft_length(s_len: int, offsets: int, cin: int, pf: int) -> int:
 
     Over those 132 shapes the rule's choices took 2.7 % more time than the
     faster path each time would have; always the direct path 26 % more.
+
+    The calibration assumes one BLAS thread. With more, the direct path's
+    larger GEMMs gain more from the extra cores, and the rule can pick the
+    slower path: on the same VM with two threads, at S=1250, 16 offsets,
+    96 -> 128, the direct path took 8.5 + 18.7 ms forward + backward and
+    the frequency-domain path, which the rule picks, 10.2 + 20.1 ms.
     """
     n = 1 << (2 * offsets - 1).bit_length()
     step = n - offsets + 1

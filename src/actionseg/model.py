@@ -28,18 +28,22 @@ Bi-LSTM as two rows.
 Each variant is written once, as the ordered stage table that :func:`build`
 makes (``Model.table``, one :class:`Stage` per wiring layer). Parameter names
 and order, :meth:`Model.forward`, :func:`describe` and the gradient checker's
-restart points are all read off that table.
+restart points are all read off that table. The table is first planned from
+the config alone (``_plan``: every parameter's name, shape and initializer,
+no array), then filled from one source: the seeded draws in :func:`build`,
+or the file's records in :func:`load_checkpoint`, which so draws nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -238,45 +242,51 @@ class Model:
         return v
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Variable:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Variable(Tensor._wrap(rng.uniform(-limit, limit, size=shape)))
+class _Param(NamedTuple):
+    """One parameter before it has a value: its shape and its initializer.
 
-
-def _init_lstm(rng, hidden: int, in_dim: int) -> LSTMParams:
-    fields = {}
-    for name in LSTM_FIELDS:  # draws in field order: W_x*, then W_h*
-        if name.startswith("W_x"):
-            fields[name] = _glorot(rng, (hidden, in_dim), in_dim, hidden)
-        elif name.startswith("W_h"):
-            fields[name] = _glorot(rng, (hidden, hidden), hidden, hidden)
-        else:
-            # forget gate starts open to stabilize early recurrent training
-            fields[name] = Variable(Tensor.ones(hidden) if name == "b_f" else Tensor.zeros(hidden))
-    return LSTMParams(**fields)
-
-
-def build(config: ModelConfig) -> Model:
-    """Initialize all parameters for ``config`` and wire the variant's stage table.
-
-    Weights are uniform in +/-sqrt(6 / (fan_in + fan_out)); biases start at
-    zero except the recurrent forget gates, which start at one. Parameters
-    are drawn in table order. The encoder comes first and is identical for
-    every variant, so two variants built from the same seed share encoder
-    parameters exactly.
+    The initial value is uniform in +/-``limit`` when ``limit`` is set, and
+    otherwise all ones if ``ones``, else all zeros.
     """
-    cfg = config
-    init = np.random.default_rng(cfg.seed)
+
+    shape: tuple[int, ...]
+    limit: float | None = None
+    ones: bool = False
+
+
+class _Block(NamedTuple):
+    """A typed parameter block before it has values: its class and its fields' ``_Param``s."""
+
+    cls: type
+    params: dict[str, _Param]
+
+
+def _glorot(shape: tuple[int, ...], fan_in: int, fan_out: int) -> _Param:
+    return _Param(shape, np.sqrt(6.0 / (fan_in + fan_out)))
+
+
+def _lstm_block(hidden: int, in_dim: int) -> _Block:
+    w_x = _glorot((hidden, in_dim), in_dim, hidden)
+    w_h = _glorot((hidden, hidden), hidden, hidden)
+    # forget gate starts open to stabilize early recurrent training
+    b, b_f = _Param((hidden,)), _Param((hidden,), ones=True)
+    # in field order, so W_x*, then W_h* draw first
+    return _Block(LSTMParams, {name: w_x if name.startswith("W_x") else w_h if name.startswith("W_h")
+                               else b_f if name == "b_f" else b for name in LSTM_FIELDS})
+
+
+def _plan(cfg: ModelConfig) -> list[Stage]:
+    """The variant's stage table with ``_Block``s in place of blocks: every name and shape, no array."""
     two_h = 2 * cfg.hidden
 
     def conv_block(prefix, filters, channels):
         w = cfg.conv_len
-        kernels = _glorot(init, (filters, channels, w), channels * w, filters * w)
-        return {prefix: Conv1DParams(kernels, Variable(Tensor.zeros(filters)))}
+        kernels = _glorot((filters, channels, w), channels * w, filters * w)
+        return {prefix: _Block(Conv1DParams, {"kernels": kernels, "bias": _Param((filters,))})}
 
     def bilstm_blocks(prefix, channels):
-        return {f"{prefix}.fwd": _init_lstm(init, cfg.hidden, channels),
-                f"{prefix}.bwd": _init_lstm(init, cfg.hidden, channels)}
+        return {f"{prefix}.fwd": _lstm_block(cfg.hidden, channels),
+                f"{prefix}.bwd": _lstm_block(cfg.hidden, channels)}
 
     def encode(v, training, rng, conv):
         v = ly.norm_relu(ly.conv1d_same(v, conv))
@@ -328,12 +338,45 @@ def build(config: ModelConfig) -> Model:
                                lambda t, w, f=f: [(2 * t, w), (2 * t, f), (2 * t, f)]))
             width = f
 
-    w = _glorot(init, (cfg.num_classes, width), width, cfg.num_classes)
+    w = _glorot((cfg.num_classes, width), width, cfg.num_classes)
     table.append(Stage("out", (("out", "time_softmax_dense"),),
-                       {"out": DenseParams(w, Variable(Tensor.zeros(cfg.num_classes)))},
+                       {"out": _Block(DenseParams, {"W": w, "b": _Param((cfg.num_classes,))})},
                        lambda v, training, rng, dense: ly.time_softmax_dense(v, dense),
                        lambda t, w: [(t, cfg.num_classes)]))
-    return Model(cfg, table)
+    return table
+
+
+def _plan_params(plan: list[Stage]) -> dict[str, _Param]:
+    """Parameter name -> ``_Param``, in table order: the checkpoint layout."""
+    return {f"{prefix}.{field}": param for stage in plan for prefix, block in stage.blocks.items()
+            for field, param in block.params.items()}
+
+
+def _assemble(cfg: ModelConfig, plan: list[Stage], value: Callable[[str, _Param], np.ndarray]) -> Model:
+    """The model of ``plan`` whose parameter ``name`` holds ``value(name, param)``, asked in table order."""
+    return Model(cfg, [Stage(stage.name, stage.rows, {
+        prefix: block.cls(**{field: Variable(Tensor._wrap(value(f"{prefix}.{field}", param)))
+                             for field, param in block.params.items()})
+        for prefix, block in stage.blocks.items()}, stage.forward, stage.shapes) for stage in plan])
+
+
+def build(config: ModelConfig) -> Model:
+    """Initialize all parameters for ``config`` and wire the variant's stage table.
+
+    Weights are uniform in +/-sqrt(6 / (fan_in + fan_out)); biases start at
+    zero except the recurrent forget gates, which start at one. Parameters
+    are drawn in table order. The encoder comes first and is identical for
+    every variant, so two variants built from the same seed share encoder
+    parameters exactly.
+    """
+    init = np.random.default_rng(config.seed)
+
+    def draw(name: str, p: _Param) -> np.ndarray:
+        if p.limit is None:
+            return np.ones(p.shape) if p.ones else np.zeros(p.shape)
+        return init.uniform(-p.limit, p.limit, size=p.shape)
+
+    return _assemble(config, _plan(config), draw)
 
 
 def describe(model: Model, ref_t: int | None = None) -> list[tuple[str, str, tuple[int, int], int]]:
@@ -385,7 +428,14 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, validating every tensor shape.
 
-    A file that cannot be read, a directory included, is a LoadError.
+    The config block fixes every parameter's name and shape (``_plan``).
+    Every record is checked against them, and the records' sizes against
+    the file's length, before any array is allocated; so a file whose
+    config claims a large model allocates nothing it does not hold. Each
+    parameter is then one copy of its record's bytes: the records sit at
+    any byte offset, and numpy computes on unaligned views neither as fast
+    nor with the same bits as on aligned arrays. A file that cannot be
+    read, a directory included, is a LoadError.
     """
     try:
         with open(path, "rb") as fh:
@@ -393,52 +443,53 @@ def load_checkpoint(path) -> Model:
     except OSError as exc:
         raise LoadError(f"{path}: cannot read: {exc.strerror}") from exc
 
-    def take(n, offset):
+    def skip(n, offset):
         if offset + n > len(blob):
             raise LoadError(f"{path}: truncated checkpoint")
-        return blob[offset:offset + n], offset + n
+        return offset + n
 
-    raw, off = take(len(_CHECKPOINT_MAGIC), 0)
+    def take(fmt, offset):
+        end = skip(struct.calcsize(fmt), offset)
+        return struct.unpack_from(fmt, blob, offset), end
+
+    (raw,), off = take(f"<{len(_CHECKPOINT_MAGIC)}s", 0)
     if raw != _CHECKPOINT_MAGIC:
         raise LoadError(f"{path}: not a checkpoint file (bad magic {raw!r})")
-    raw, off = take(8, off)
-    version, config_len = struct.unpack("<II", raw)
+    (version, config_len), off = take("<II", off)
     if version != _CHECKPOINT_VERSION:
         raise LoadError(f"{path}: unsupported checkpoint version {version}")
-    raw, off = take(config_len, off)
+    (raw,), off = take(f"<{config_len}s", off)
     try:
         config = ModelConfig(**json.loads(raw.decode("utf-8")))
     except (TypeError, ValueError, ConfigError) as exc:
         raise LoadError(f"{path}: bad config block: {exc}") from exc
 
-    model = build(config)
-    raw, off = take(4, off)
-    (n_tensors,) = struct.unpack("<I", raw)
-    seen = set()
+    plan = _plan(config)
+    expected = _plan_params(plan)
+    offsets: dict[str, int] = {}
+    (n_tensors,), off = take("<I", off)
     for _ in range(n_tensors):
-        raw, off = take(2, off)
-        (name_len,) = struct.unpack("<H", raw)
-        raw, off = take(name_len, off)
+        (name_len,), off = take("<H", off)
+        (raw,), off = take(f"<{name_len}s", off)
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LoadError(f"{path}: parameter name {raw!r} is not UTF-8") from exc
-        raw, off = take(1, off)
-        (ndim,) = struct.unpack("<B", raw)
-        raw, off = take(4 * ndim, off)
-        shape = struct.unpack(f"<{ndim}I", raw)
-        raw, off = take(8 * int(np.prod(shape)), off)
-        if name not in model.params:
+        (ndim,), off = take("<B", off)
+        shape, off = take(f"<{ndim}I", off)
+        if name in offsets:
+            raise LoadError(f"{path}: parameter {name!r} is stored twice")
+        if name not in expected:
             raise LoadError(f"{path}: unknown parameter {name!r} for this config")
-        expected = model.params[name].value.shape
-        if tuple(shape) != expected:
-            raise LoadError(f"{path}: parameter {name!r} has shape {tuple(shape)}, config expects {expected}")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        model.params[name].value = Tensor._wrap(arr.astype(np.float64))
-        seen.add(name)
-    missing = set(model.params) - seen
+        if shape != expected[name].shape:
+            raise LoadError(f"{path}: parameter {name!r} has shape {shape}, "
+                            f"config expects {expected[name].shape}")
+        offsets[name] = off
+        off = skip(8 * math.prod(shape), off)
+    missing = expected.keys() - offsets.keys()
     if missing:
         raise LoadError(f"{path}: missing parameters: {sorted(missing)}")
     if off != len(blob):
         raise LoadError(f"{path}: trailing bytes after checkpoint payload")
-    return model
+    return _assemble(config, plan, lambda name, p: np.frombuffer(
+        blob, "<f8", math.prod(p.shape), offsets[name]).reshape(p.shape).astype(np.float64))

@@ -1,5 +1,7 @@
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +204,85 @@ def test_text_features_report_the_first_bad_row_in_file_order(tmp_path, rows, na
     with pytest.raises(LoadError) as err:
         load_features(path)
     assert str(err.value) == f"{path}{named}"
+
+
+def test_text_writer_matches_the_per_value_repr_writer(tmp_path):
+    values = [-0.0, 5e-324, 0.1, 1 / 3, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+    feats = np.array([values, values[::-1]])
+    sample = SequenceSample("v", Tensor(feats), np.zeros(2, dtype=np.int64))
+    save_dataset(Dataset(DatasetManifest(["a", "b"], len(values), {"test": ["v"]}), {"v": sample}),
+                 tmp_path)
+    rows = [f"{feats.shape[0]} {feats.shape[1]}"]
+    rows += [" ".join(repr(float(v)) for v in row) for row in feats]
+    text = (tmp_path / "v.features.txt").read_bytes()
+    assert text == ("\n".join(rows) + "\n").encode()
+    assert load_features(tmp_path / "v.features.txt").data.tobytes() == feats.tobytes()
+
+
+def _reference_text_features(path, text: str) -> np.ndarray:
+    """``load_features`` of a text file with a well-formed header, one ``float()`` per token."""
+    lines = text.splitlines()
+    t_len, dim = map(int, lines[0].split())
+    if len(lines) - 1 != t_len:
+        raise LoadError(f"{path}: header promises {t_len} rows, file has {len(lines) - 1}")
+    if 2 * t_len * dim > len(text):
+        raise LoadError(f"{path}: header promises {t_len}x{dim} values, "
+                        f"more than {len(text)} characters can hold")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != dim:
+            raise LoadError(f"{path}:{lineno}: expected {dim} values, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise LoadError(f"{path}:{lineno}: non-numeric value") from None
+        if not all(np.isfinite(row)):
+            raise LoadError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+# legal spellings that float() accepts beyond the shortest repr, and illegal ones;
+# "\xa0" splits tokens, and "\x1c" and "\x0b" split lines as well
+_ODD_TOKENS = ["1_0", "١", " +.5", "Infinity", "1e400", "-0", "5e-324", "nan", "-inf", "0001.5e-3"]
+_BAD_TOKENS = ["nan(1)", "0x1p3", "1e", "", "1.0,2.0", "1__0", "--1", "1e5.5", "\x00"]
+_SEPARATORS = [" ", " ", " ", "  ", "\t", "\xa0", "\x1c", " \x0b "]
+
+
+@st.composite
+def _feature_texts(draw) -> str:
+    dim = draw(st.integers(1, 4))
+    good = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.sampled_from(_ODD_TOKENS))
+    token = st.one_of(good, st.sampled_from(_BAD_TOKENS))
+    row = st.one_of(st.lists(good, min_size=dim, max_size=dim),
+                    st.lists(token, min_size=dim, max_size=dim),
+                    st.lists(token, max_size=dim + 2))
+    rows = draw(st.lists(st.tuples(row, st.sampled_from(_SEPARATORS)), min_size=1, max_size=6))
+    body = [sep.join(tokens) for tokens, sep in rows]
+    return "\n".join([f"{len(body)} {dim}", *body]) + "\n"
+
+
+@given(_feature_texts())
+@example("2 3\n1_0 ١ +.5\nInfinity 0 1\n")
+@example("2 3\n1 2 3\n4 5 nan(1)\n")
+@example("3 2\n1e400 x\n1 2\n1.0,2.0 3\n")
+@example("2 2\n0.1 5e-324\n-0.0 1e16\n")
+def test_text_feature_rows_parse_as_float_does(text):
+    # the guard on every numpy version the package allows: rows are converted
+    # by numpy in one call each, and must give float()'s bits and errors
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.features.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = _reference_text_features(path, text)
+        except LoadError as exc:
+            with pytest.raises(LoadError) as err:
+                load_features(path)
+            assert str(err.value) == str(exc)
+        else:
+            assert load_features(path).data.tobytes() == want.tobytes()
 
 
 # every dataset parser loads its input or raises LoadError, whatever the bytes

@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import struct
 import sys
 import tempfile
 import threading
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -316,6 +319,72 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\0" * 64)
     with pytest.raises(LoadError):
         load_checkpoint(path)
+
+
+# sha256 of every parameter's bytes in table order for toy_config(variant):
+# the Glorot draws of the seeded PCG64 stream, in order
+GOLDEN_DRAWS = {
+    "full": "e80d1e8c695725710f8e5d6d91ec35bc46d29009a53220dc1659d3ded107a281",
+    "high": "a2da62642c7b22f28e0d9bc077452caf43bcd8bb5c09ada24203a8445a1d0e1b",
+    "low": "175bf3279ea2e5c174fd9df4dbf4788335c7e0a713023a2bd1c669e458a82e3a",
+    "conv_only": "c78ea6ce603848667345556708e3b1fc33ec1dd42ed6ba0d7d64743909782fa4",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_build_draws_the_golden_weights(variant):
+    m = build(toy_config(variant))
+    blob = b"".join(var.value.data.tobytes() for var in m.params.values())
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DRAWS[variant]
+
+
+def test_loaded_parameters_are_aligned_arrays_of_their_own(tmp_path):
+    # records sit at any byte offset of the file; numpy's matmul on an
+    # unaligned view runs slower and, for the convolutions, gives other bits
+    m = build(toy_config("high"))
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(m, path)
+    for name, var in load_checkpoint(path).params.items():
+        arr = var.value.data
+        assert arr.flags.aligned and arr.flags.owndata and not arr.flags.writeable, name
+        assert arr.dtype == np.float64 and np.array_equal(arr, m.params[name].value.data), name
+
+
+def test_checkpoint_with_a_parameter_stored_twice_is_rejected(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(build(toy_config("conv_only")), path)
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 12)
+    count_at = 16 + size
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    first = count_at + 4
+    (name_len,) = struct.unpack_from("<H", blob, first)
+    (ndim,) = struct.unpack_from("<B", blob, first + 2 + name_len)
+    shape = struct.unpack_from(f"<{ndim}I", blob, first + 3 + name_len)
+    end = first + 3 + name_len + 4 * ndim + 8 * int(np.prod(shape))
+    record = bytearray(blob[first:end])
+    record[-8:] = struct.pack("<d", 42.0)  # the later copy would win
+    path.write_bytes(blob[:count_at] + struct.pack("<I", count + 1) + blob[first:] + bytes(record))
+    with pytest.raises(LoadError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: parameter 'enc1.conv.kernels' is stored twice"
+
+
+def test_checkpoint_claiming_a_large_model_allocates_only_what_it_holds(tmp_path):
+    # a full model at hidden 400 holds 46 MB of weights; this file holds none
+    config = ModelConfig(input_dim=64, num_classes=10, variant="full", k=2, conv_len=30, hidden=400)
+    raw = json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8")
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(b"ASEGCKP1" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", 0))
+    assert path.stat().st_size == 167
+    tracemalloc.start()
+    try:
+        with pytest.raises(LoadError, match="missing parameters"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 @lru_cache(maxsize=None)
