@@ -2,7 +2,13 @@
 
 File formats (all plain text, one sample per file pair):
 
-* features: first line ``T d``, then T lines of d space-separated reals.
+* features: first line ``T d``, then T lines of d space-separated reals,
+  each read to the bits Python's ``float()`` gives it. A file in the shape
+  :func:`save_dataset` writes (ASCII; one space between values and one
+  ``\n`` after each row; decimals, with e-notation rare) is converted a
+  block of rows at a time in whole-array numpy passes; every other file
+  goes through a row-by-row ``float()`` parse, which accepts every
+  spelling ``float()`` does and names the line of the first bad value.
   A packed binary alternative is accepted for large files: magic ``TRIC``,
   little-endian uint32 version/T/d, then T*d little-endian float64 values.
 * labels: T lines, one integer class id per line.
@@ -24,6 +30,7 @@ a balanced rule.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +58,17 @@ __all__ = [
 
 _FEATURE_MAGIC = b"TRIC"
 _FEATURE_VERSION = 1
+
+# the whole-array lane for text features (``_convert_rows``): the bytes it
+# reads, the bytes of rows it converts per pass, and the powers of ten it
+# divides by. x87 long double has a 64-bit significand, stored in the first
+# 8 of its 16 bytes; every integer below 2**63 and 10**k for k <= 27
+# (5**27 < 2**64) are exact in it, so the products of cumprod are too
+_LANE_BYTES = b"0123456789.+-e \n"
+_LANE_CHUNK = 1 << 16
+_LANE_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_LANE_INT_LIMIT = 10 ** 18  # at or beyond it the int64 parse may have saturated
 
 _GLYPHS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -276,23 +294,132 @@ def _check_finite_rows(path: Path, rows: np.ndarray) -> None:
         raise LoadError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite feature value")
 
 
-def _load_features_binary(path: Path, blob: bytes) -> np.ndarray:
-    if blob[:4] != _FEATURE_MAGIC:
-        raise LoadError(f"{path}: bad magic {blob[:4]!r}, expected {_FEATURE_MAGIC!r}")
-    if len(blob) < 16:
+def _convert_rows(fh) -> np.ndarray | None:
+    """The features of a text file in the shape ``save_dataset`` writes, or None for any other.
+
+    One pass checks that every byte is one the lane reads, before any value
+    is converted; a second converts blocks of whole rows (``_convert_chunk``),
+    so the text is never held whole. None asks the caller for the row loop,
+    which accepts every other spelling and reports every error; a file is
+    declined whole, never half converted.
+    """
+    if not _LANE_LONG_DOUBLE:
+        return None
+    size = 0
+    for block in iter(lambda: fh.read(_LANE_CHUNK), b""):
+        if block.translate(None, _LANE_BYTES):
+            return None
+        # e-notation throughout, as np.savetxt writes by default, is declined
+        # before the rest of the file is read
+        if not size and 16 * block.count(b"e") > block.count(b" ") + block.count(b"\n"):
+            return None
+        size += len(block)
+    fh.seek(0)
+    try:
+        t_len, dim = (int(v) for v in fh.readline().split())
+    except ValueError:
+        return None
+    if t_len < 1 or dim < 1 or 2 * t_len * dim > size:
+        return None
+    out = np.empty((t_len, dim), dtype=np.float64)
+    flat = out.reshape(-1)
+    row = 0
+    for lines in iter(lambda: fh.readlines(_LANE_CHUNK), []):
+        end = row + len(lines)
+        if end > t_len or not _convert_chunk(b"".join(lines), dim, flat[row * dim:end * dim]):
+            return None
+        row = end
+    return out if row == t_len else None
+
+
+def _convert_chunk(chunk: bytes, dim: int, dest: np.ndarray) -> bool:
+    """Write the values of ``chunk``'s rows into ``dest`` with ``float()``'s bits; False if it cannot.
+
+    Each token ``[+-]I.F`` is the integer ``IF`` divided by ``10**len(F)``
+    in long double: both are exact, so the one division rounds the true
+    quotient once to 64 bits, and rounding that to a double gives the
+    double nearest the true value unless the 64-bit quotient lies exactly
+    halfway between two doubles (low 11 significand bits ``0x400``);
+    Clinger, PLDI 1990. Those quotients, e-notation tokens and integers the
+    int64 parse cannot hold exactly go through ``float()`` one at a time. A
+    chunk where more than one token in 16 does is declined: the lane loses
+    to the row loop at about one in 8.
+    """
+    n = dest.size
+    v = np.frombuffer(chunk, dtype=np.uint8)
+    seps = np.flatnonzero(v <= 32)  # the only such bytes read are " " and "\n"
+    # d tokens a row, with a "\n" after the last
+    if seps.size != n or (v[seps[dim - 1::dim]] != 10).any():
+        return False
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    np.add(seps[:-1], 1, out=starts[1:])
+    first = v[starts]
+    neg = first == 45
+    signed = neg | (first == 43)
+    text, odd = chunk, []
+    if chunk.find(b"e") >= 0:
+        odd = np.searchsorted(seps, np.flatnonzero(v == 101)).tolist()
+        if 16 * len(odd) > n:
+            return False
+        # "0.0...0" in place of each e-notation token keeps the passes below
+        # regular; float() gives its value at the end
+        buf = bytearray(chunk)
+        for i in odd:
+            lo, hi = int(starts[i]), int(seps[i])
+            buf[lo:hi] = (b"0." + b"0" * (hi - lo))[:hi - lo]
+        text = bytes(buf)
+        v = np.frombuffer(text, dtype=np.uint8)
+        signed[odd] = False
+    # one "." in every token, signs only in front, and at least one digit
+    dots = np.flatnonzero(v == 46)
+    if (dots.size != n or (dots < starts).any() or (dots >= seps).any()
+            or np.count_nonzero(v == 45) + np.count_nonzero(v == 43) != np.count_nonzero(signed)
+            or (seps - starts - signed < 2).any()):
+        return False
+    frac = np.subtract(seps, dots, out=dots)
+    frac -= 1
+    ints = np.fromstring(text.translate(None, b"."), dtype=np.int64, sep=" ")
+    quot = _POW10.take(frac, mode="clip")
+    np.divide(ints, quot, out=quot)
+    redo = (quot.view(np.uint64)[::2] & 0x7FF) == 0x400
+    redo |= frac >= _POW10.size
+    redo |= ints >= _LANE_INT_LIMIT
+    redo |= ints <= -_LANE_INT_LIMIT
+    redo[odd] = True
+    dest[:] = quot
+    dest[neg & (ints == 0)] = -0.0
+    redo = np.flatnonzero(redo)
+    if 16 * redo.size > n:
+        return False
+    for i in redo.tolist():
+        try:
+            dest[i] = float(chunk[starts[i]:seps[i]])
+        except ValueError:
+            return False
+    return bool(np.isfinite(dest[redo]).all())
+
+
+def _load_features_binary(path: Path, fh) -> np.ndarray:
+    """The values of a ``TRIC`` file whose magic ``fh`` has read, read straight into their array."""
+    head = fh.read(12)
+    if len(head) < 12:
         raise LoadError(f"{path}: truncated header")
-    version, t_len, dim = struct.unpack("<III", blob[4:16])
+    version, t_len, dim = struct.unpack("<III", head)
     if version != _FEATURE_VERSION:
         raise LoadError(f"{path}: unsupported feature file version {version}")
     if t_len < 1 or dim < 1:
         raise LoadError(f"{path}: header sizes must be positive, got {t_len}x{dim}")
     expected = 16 + 8 * t_len * dim
-    if len(blob) != expected:
-        raise LoadError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    arr = np.frombuffer(blob, dtype="<f8", offset=16).reshape(t_len, dim).astype(np.float64)
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise LoadError(f"{path}: expected {expected} bytes, found {size}")
+    arr = np.empty((t_len, dim), dtype="<f8")
+    if fh.readinto(arr.view(np.uint8)) != arr.nbytes:  # a byte view, as in load_checkpoint
+        raise LoadError(f"{path}: expected {expected} bytes, found fewer")
     if not np.all(np.isfinite(arr)):
         raise LoadError(f"{path}: non-finite feature value")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def _load_labels(path: Path, num_classes: int) -> np.ndarray:
@@ -316,11 +443,20 @@ def _load_labels(path: Path, num_classes: int) -> np.ndarray:
 def load_features(path) -> Tensor:
     """Load one feature file, text or packed binary (sniffed by magic bytes)."""
     path = Path(path)
-    blob = _read(path)
-    if blob[:4] == _FEATURE_MAGIC:
-        return Tensor._wrap(_load_features_binary(path, blob))
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(_FEATURE_MAGIC)) == _FEATURE_MAGIC:
+                return Tensor._wrap(_load_features_binary(path, fh))
+            fh.seek(0)
+            out = _convert_rows(fh)
+            if out is not None:
+                return Tensor._wrap(out)
+            fh.seek(0)
+            blob = fh.read()
+    except OSError as exc:
+        raise LoadError(f"{path}: cannot read: {exc.strerror}") from exc
     text = _read_text(path, blob)
-    del blob  # the parse holds the text and its lines, not the bytes as well
+    del blob  # the row loop holds the text and its lines, not the bytes as well
     return Tensor._wrap(_load_features_text(path, text))
 
 

@@ -40,6 +40,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -429,36 +430,38 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, validating every tensor shape.
 
     The config block fixes every parameter's name and shape (``_plan``).
-    Every record is checked against them, and the records' sizes against
-    the file's length, before any array is allocated; so a file whose
-    config claims a large model allocates nothing it does not hold. Each
-    parameter is then one copy of its record's bytes: the records sit at
-    any byte offset, and numpy computes on unaligned views neither as fast
-    nor with the same bits as on aligned arrays. A file that cannot be
-    read, a directory included, is a LoadError.
+    Each record is checked against them, and its size against the file's
+    length, before its array is allocated; so a file whose config claims a
+    large model allocates nothing it does not hold. The record is then
+    read straight into that array, so a load holds each byte once: the
+    records sit at any byte offset, and numpy computes on unaligned views
+    neither as fast nor with the same bits as on aligned arrays. A file
+    that cannot be read, a directory included, is a LoadError.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_checkpoint(path, fh)
     except OSError as exc:
         raise LoadError(f"{path}: cannot read: {exc.strerror}") from exc
 
-    def skip(n, offset):
-        if offset + n > len(blob):
+
+def _read_checkpoint(path, fh) -> Model:
+    size = os.fstat(fh.fileno()).st_size
+
+    def take(fmt):
+        n = struct.calcsize(fmt)
+        raw = fh.read(n) if fh.tell() + n <= size else b""
+        if len(raw) != n:
             raise LoadError(f"{path}: truncated checkpoint")
-        return offset + n
+        return struct.unpack(fmt, raw)
 
-    def take(fmt, offset):
-        end = skip(struct.calcsize(fmt), offset)
-        return struct.unpack_from(fmt, blob, offset), end
-
-    (raw,), off = take(f"<{len(_CHECKPOINT_MAGIC)}s", 0)
+    (raw,) = take(f"<{len(_CHECKPOINT_MAGIC)}s")
     if raw != _CHECKPOINT_MAGIC:
         raise LoadError(f"{path}: not a checkpoint file (bad magic {raw!r})")
-    (version, config_len), off = take("<II", off)
+    version, config_len = take("<II")
     if version != _CHECKPOINT_VERSION:
         raise LoadError(f"{path}: unsupported checkpoint version {version}")
-    (raw,), off = take(f"<{config_len}s", off)
+    (raw,) = take(f"<{config_len}s")
     try:
         config = ModelConfig(**json.loads(raw.decode("utf-8")))
     except (TypeError, ValueError, ConfigError) as exc:
@@ -466,30 +469,35 @@ def load_checkpoint(path) -> Model:
 
     plan = _plan(config)
     expected = _plan_params(plan)
-    offsets: dict[str, int] = {}
-    (n_tensors,), off = take("<I", off)
+    arrays: dict[str, np.ndarray] = {}
+    (n_tensors,) = take("<I")
     for _ in range(n_tensors):
-        (name_len,), off = take("<H", off)
-        (raw,), off = take(f"<{name_len}s", off)
+        (name_len,) = take("<H")
+        (raw,) = take(f"<{name_len}s")
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LoadError(f"{path}: parameter name {raw!r} is not UTF-8") from exc
-        (ndim,), off = take("<B", off)
-        shape, off = take(f"<{ndim}I", off)
-        if name in offsets:
+        (ndim,) = take("<B")
+        shape = take(f"<{ndim}I")
+        if name in arrays:
             raise LoadError(f"{path}: parameter {name!r} is stored twice")
         if name not in expected:
             raise LoadError(f"{path}: unknown parameter {name!r} for this config")
         if shape != expected[name].shape:
             raise LoadError(f"{path}: parameter {name!r} has shape {shape}, "
                             f"config expects {expected[name].shape}")
-        offsets[name] = off
-        off = skip(8 * math.prod(shape), off)
-    missing = expected.keys() - offsets.keys()
+        if fh.tell() + 8 * math.prod(shape) > size:
+            raise LoadError(f"{path}: truncated checkpoint")
+        arr = np.empty(shape, dtype="<f8")
+        # through a byte view: an array exporting its own buffer keeps a
+        # description of it for as long as it lives
+        if fh.readinto(arr.view(np.uint8)) != arr.nbytes:
+            raise LoadError(f"{path}: truncated checkpoint")
+        arrays[name] = arr.astype(np.float64, copy=False)
+    missing = expected.keys() - arrays.keys()
     if missing:
         raise LoadError(f"{path}: missing parameters: {sorted(missing)}")
-    if off != len(blob):
+    if fh.tell() != size:
         raise LoadError(f"{path}: trailing bytes after checkpoint payload")
-    return _assemble(config, plan, lambda name, p: np.frombuffer(
-        blob, "<f8", math.prod(p.shape), offsets[name]).reshape(p.shape).astype(np.float64))
+    return _assemble(config, plan, lambda name, p: arrays[name])

@@ -55,10 +55,6 @@ class Tensor:
     def zeros(cls, shape: Sequence[int] | int) -> "Tensor":
         return cls._wrap(np.zeros(shape, dtype=np.float64))
 
-    @classmethod
-    def ones(cls, shape: Sequence[int] | int) -> "Tensor":
-        return cls._wrap(np.ones(shape, dtype=np.float64))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape

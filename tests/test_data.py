@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from actionseg import data
 from actionseg.data import (Dataset, DatasetManifest, SequenceSample, SynthConfig,
                             ambiguous_frame_fraction, export_timeline, frame_local_ceiling,
                             load_dataset, load_features, save_dataset, synth_generate,
@@ -70,9 +71,28 @@ def test_text_features_are_parsed_without_holding_the_file_bytes(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(feats.data, sample.features.data)
-    # the 1.26 MB file peaks at 3.51 times its size with its bytes held
-    # beside the text and its lines, and at 2.51 times without them
-    assert peak < 3 * path.stat().st_size, peak / path.stat().st_size
+    # the 1.26 MB file peaks at 0.77 times its size: the 0.51 MB output and
+    # one block of rows in flight; the row loop held the text and its lines
+    # as well, 2.51 times
+    assert peak < 1.0 * path.stat().st_size, peak / path.stat().st_size
+
+
+def test_binary_features_are_read_straight_into_their_array(tmp_path):
+    rng = np.random.default_rng(82)
+    sample = SequenceSample("v", Tensor(rng.normal(size=(1000, 64))), np.zeros(1000, dtype=np.int64))
+    save_dataset(Dataset(DatasetManifest(["a", "b"], 64, {"test": ["v"]}), {"v": sample}), tmp_path,
+                 binary=True)
+    path = tmp_path / "v.features.bin"
+    tracemalloc.start()
+    try:
+        feats = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(feats.data, sample.features.data)
+    assert feats.data.flags.owndata and feats.data.flags.aligned
+    # the file's bytes are held once, in the output
+    assert peak < 1.2 * path.stat().st_size, peak / path.stat().st_size
 
 
 @pytest.mark.parametrize("binary, renamed", [(True, ("s0.features.bin", "s0.features.txt")),
@@ -270,8 +290,9 @@ def _feature_texts(draw) -> str:
 @example("3 2\n1e400 x\n1 2\n1.0,2.0 3\n")
 @example("2 2\n0.1 5e-324\n-0.0 1e16\n")
 def test_text_feature_rows_parse_as_float_does(text):
-    # the guard on every numpy version the package allows: rows are converted
-    # by numpy in one call each, and must give float()'s bits and errors
+    # the guard on every numpy version the package allows: the row loop
+    # converts a row in one numpy call, the lane in whole-array passes, and
+    # both must give float()'s bits and errors
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.features.txt"
         path.write_text(text, encoding="utf-8")
@@ -283,6 +304,160 @@ def test_text_feature_rows_parse_as_float_does(text):
             assert str(err.value) == str(exc)
         else:
             assert load_features(path).data.tobytes() == want.tobytes()
+
+
+# the whole-array lane: files in the shape save_dataset writes are converted
+# in blocks of rows, with float()'s bits; every other file takes the row loop
+
+
+def _write_features(path, rows) -> str:
+    """Write rows of tokens as ``save_dataset`` lays them out; returns the text."""
+    text = "\n".join([f"{len(rows)} {len(rows[0])}", *(" ".join(r) for r in rows)]) + "\n"
+    path.write_text(text)
+    return text
+
+
+def _lane_only(monkeypatch):
+    """Make the row loop fail, so that a load can only succeed in the lane."""
+    def row_loop(path, text):
+        raise AssertionError(f"{path} was declined by the whole-array lane")
+    monkeypatch.setattr(data, "_load_features_text", row_loop)
+
+
+@st.composite
+def _saved_matrices(draw) -> np.ndarray:
+    """Matrices whose saved reprs mix plain decimals with some e-notation, ±0.0 and subnormals."""
+    dim = draw(st.sampled_from([1, 3, 64]))
+    # a value takes about 20 bytes, so some files span one to three blocks of rows
+    blocks = draw(st.sampled_from([0, 0, 1, 3]))
+    rows = draw(st.integers(1, 40)) + blocks * data._LANE_CHUNK // (20 * dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-4, 14))
+    arr = rng.normal(size=(rows, dim)) * scale
+    special = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 1.5e16, -1e22]))
+    for value in draw(st.lists(special, max_size=6)):
+        arr.flat[draw(st.integers(0, arr.size - 1))] = value
+    return arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(_saved_matrices())
+def test_saved_feature_files_load_as_float_reads_them(arr):
+    sample = SequenceSample("v", Tensor(arr), np.zeros(arr.shape[0], dtype=np.int64))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(Dataset(DatasetManifest(["a", "b"], arr.shape[1], {"t": ["v"]}), {"v": sample}),
+                     tmp)
+        path = Path(tmp) / "v.features.txt"
+        want = _reference_text_features(path, path.read_text())
+        got = load_features(path).data
+    assert got.tobytes() == want.tobytes() == arr.tobytes()
+
+
+# decimals the lane must send to float(): 2**53 + 1, 2**52 + 0.5 and
+# -(2**49 + 1/16) lie exactly halfway between two doubles; 19 and 20 digits
+# overflow or nearly overflow int64; 28 and more fraction digits are beyond
+# the exact powers of ten. Plain spellings the lane converts itself
+_LANE_EDGE_TOKENS = ["9007199254740993.0", "4503599627370496.5", "-562949953421312.0625",
+                     "1234567890123456789.0", "-9999999999999999999.5", "99999999999999999999.0",
+                     "0.0000000000000000000000000001", "0.12345678901234567890123456789",
+                     "-0.000000000000000000000000000049406564584124654", ".5", "5.", "+1.5",
+                     "-.25", "+0.0", "-0.0", "007.500", "1e-05", "5e-324", "1.7976931348623157e+308"]
+
+
+def test_lane_gives_floats_bits_for_edge_decimals(tmp_path, monkeypatch):
+    rng = np.random.default_rng(83)
+    rows = [[repr(v) for v in row] for row in rng.normal(size=(40, 64)).tolist()]
+    for i, token in enumerate(_LANE_EDGE_TOKENS):
+        rows[i][(7 * i) % 64] = token
+    path = tmp_path / "x.features.txt"
+    text = _write_features(path, rows)
+    want = _reference_text_features(path, text)
+    _lane_only(monkeypatch)
+    got = load_features(path).data
+    assert got.tobytes() == want.tobytes()
+    assert got[0, 0] == 9007199254740992.0 and np.signbit(got[14, 34])
+
+
+def test_lane_spans_several_blocks_with_the_row_loops_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(84)
+    arr = rng.normal(size=(300, 64)) * np.logspace(-3, 3, 64)
+    arr[::37, 5] = 2e-5  # e-notation in several blocks
+    arr[150, :] = -0.0
+    sample = SequenceSample("v", Tensor(arr), np.zeros(300, dtype=np.int64))
+    save_dataset(Dataset(DatasetManifest(["a", "b"], 64, {"t": ["v"]}), {"v": sample}), tmp_path)
+    path = tmp_path / "v.features.txt"
+    assert path.stat().st_size > 4 * data._LANE_CHUNK
+    with monkeypatch.context() as patched:
+        _lane_only(patched)
+        got = load_features(path).data
+    monkeypatch.setattr(data, "_LANE_LONG_DOUBLE", False)  # what a platform without x87 gets
+    assert got.tobytes() == load_features(path).data.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace(" ", "\t"),
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace("0.", "\u0660.", 1),  # float() reads Arabic-Indic digits
+    lambda text: text.replace("1", "1_1", 1),
+    lambda text: text.replace(" ", "\xa0", 1),
+    lambda text: text.replace(".", ".5x", 1),
+    lambda text: text.rstrip("\n"),
+    lambda text: text + "\n",
+], ids=["tabs", "crlf", "unicode-digit", "underscore", "nbsp", "letter", "no-final-newline",
+        "blank-last-line"])
+def test_files_the_lane_declines_load_as_float_reads_them(tmp_path, edit):
+    rng = np.random.default_rng(87)
+    rows = [[repr(v) for v in row] for row in rng.normal(size=(100, 64)).tolist()]
+    path = tmp_path / "x.features.txt"
+    text = edit(_write_features(path, rows))
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = _reference_text_features(path, text)
+    except LoadError as exc:
+        with pytest.raises(LoadError) as err:
+            load_features(path)
+        assert str(err.value) == str(exc)
+    else:
+        assert load_features(path).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("token, named", [
+    ("1e400", "non-finite feature value"),
+    ("1.2.3", "non-numeric value"),
+    ("4-2.0", "non-numeric value"),
+    ("-.", "non-numeric value"),
+    ("1e5e5", "non-numeric value"),
+    ("1.0+", "non-numeric value"),
+    ("1.2.3 45", "non-numeric value"),  # as many dots as values, not one in each
+    ("45 1.2.3", "non-numeric value"),
+])
+def test_a_bad_token_in_a_late_block_names_its_line(tmp_path, token, named):
+    rng = np.random.default_rng(85)
+    rows = [[repr(v) for v in row] for row in rng.normal(size=(300, 64)).tolist()]
+    tokens = token.split()
+    rows[261][17:17 + len(tokens)] = tokens
+    path = tmp_path / "x.features.txt"
+    text = _write_features(path, rows)
+    assert text.index(token) > 3 * data._LANE_CHUNK
+    with pytest.raises(LoadError) as err:
+        load_features(path)
+    assert str(err.value) == f"{path}:263: {named}"
+    with pytest.raises(LoadError) as ref:
+        _reference_text_features(path, text)
+    assert str(ref.value) == str(err.value)
+
+
+def test_a_long_row_before_a_short_one_is_reported(tmp_path):
+    # the two rows hold 128 values between them, as two rows of 64 do
+    rng = np.random.default_rng(86)
+    rows = [[repr(v) for v in row] for row in rng.normal(size=(300, 64)).tolist()]
+    rows[261].append(rows[262].pop())
+    path = tmp_path / "x.features.txt"
+    _write_features(path, rows)
+    with pytest.raises(LoadError) as err:
+        load_features(path)
+    assert str(err.value) == f"{path}:263: expected 64 values, got 65"
 
 
 # every dataset parser loads its input or raises LoadError, whatever the bytes

@@ -387,6 +387,22 @@ def test_checkpoint_claiming_a_large_model_allocates_only_what_it_holds(tmp_path
     assert peak < 1e6, peak
 
 
+@pytest.mark.parametrize("variant", ["full", "conv_only"])
+def test_checkpoint_load_holds_each_byte_once(tmp_path, variant):
+    # the 3.92 MB full checkpoint peaked at 7.90 MB when the whole file was
+    # read and each record copied out of it
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=64, num_classes=10, variant=variant, k=2,
+                                      conv_len=30, hidden=64, seed=3)), path)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * path.stat().st_size, peak / path.stat().st_size
+
+
 @lru_cache(maxsize=None)
 def _checkpoint_parts(variant: str) -> tuple[bytes, dict, bytes]:
     """(magic + version, config, tensor records) of a small model's checkpoint."""
