@@ -1,4 +1,4 @@
-"""Reverse-mode differentiation: the variable, the tape and the gradient check.
+"""Reverse-mode differentiation: the variable, its node, the tape and the gradient check.
 
 The operations of the network are written in :mod:`actionseg.layers`, and
 its loss in :mod:`actionseg.train`. Each checks its operand shapes, computes
@@ -7,17 +7,24 @@ and, while a tape is active, records its backward rule with :func:`record`.
 The one operation written here is :func:`slice_axis`, with which the model
 trims its padded output.
 
-The graph is built as it runs: while a :class:`Tape` is active, every
-operation appends its output node to the tape's ordered record. ``backward``
-replays that record in reverse creation order, which is a valid reverse
-topological order because a node is always created after its parents.
-Gradients accumulate additively when a node feeds several consumers, and the
-fixed replay order makes two identical runs produce bit-identical gradients.
-Backward consumes the graph as it goes: each node leaves the record and
-drops its rule and its parents before its rule runs, so what only that rule
-read is freed right after it, and a layer's rule may work in its forward
-buffers. What stays are the leaf gradients and the nodes the caller holds,
-each with its value and gradient.
+The graph is built as it runs, and its record is kept apart from the
+values. An operation returns a :class:`Variable` that owns its value; while
+a :class:`Tape` is active it also gets a node (``Variable.node``), which
+holds the backward rule, the parents' nodes and the gradient, and the
+operation appends that node to the tape's ordered record. Each rule
+captures its parents' nodes and only the arrays it reads. So the tape keeps
+rules, parent nodes and gradients, and no value: an op output lives as long
+as the caller holds it or a rule reads it, and no longer.
+
+``backward`` replays the record in reverse creation order, which is a valid
+reverse topological order because a node is always created after its
+parents. Gradients accumulate additively when a node feeds several
+consumers, and the fixed replay order makes two identical runs produce
+bit-identical gradients. Backward consumes the graph as it goes: each node
+leaves the record and drops its rule and its parents before its rule runs,
+so what only that rule read is freed right after it, and a layer's rule may
+work in its forward buffers. What stays are the leaf gradients and the
+nodes of the variables the caller holds, each with its gradient.
 
 With no tape active, the same operations just compute values and record
 nothing, which is how inference runs without retaining a graph. The stack of
@@ -35,7 +42,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
-__all__ = ["Variable", "Tape", "slice_axis", "finite_diff_check"]
+__all__ = ["Node", "Variable", "Tape", "slice_axis", "finite_diff_check"]
 
 class _TapeStack(threading.local):
     def __init__(self):
@@ -45,8 +52,32 @@ class _TapeStack(threading.local):
 _TAPES = _TapeStack()
 
 
+class Node:
+    """The graph record of one variable: its backward rule, its parents' nodes and its gradient.
+
+    A node holds no value. :func:`record` makes the node of a taped op
+    output; a leaf, or an output made with no tape active, gets one on first
+    use (:func:`node_of`).
+    """
+
+    __slots__ = ("_backward", "parents", "_grad")
+
+    def __init__(self, backward: Callable[[np.ndarray], None] | None = None,
+                 parents: tuple["Node", ...] = ()):
+        self._backward = backward
+        self.parents = parents
+        self._grad: np.ndarray | None = None
+
+
 class Variable:
-    """A value plus its accumulated gradient and, while taping, a backward rule.
+    """A value, and while it is in a graph, the :class:`Node` that records it there.
+
+    The variable owns its value; the node holds the backward rule, the
+    parents' nodes and the accumulated gradient, which ``_backward``,
+    ``parents``, ``_grad`` and ``grad`` read through. The tape holds nodes
+    and a rule holds its parents' nodes, so neither keeps a value alive: an
+    op output's value lives as long as the caller holds the variable or a
+    rule reads the array.
 
     Leaf variables (``parents == ()``) carry data into the graph; mark them
     ``trainable`` to have :meth:`Tape.backward` accumulate their gradients.
@@ -54,19 +85,37 @@ class Variable:
     graph, it is a constant.
     """
 
-    __slots__ = ("value", "name", "trainable", "parents", "_backward", "_grad")
+    __slots__ = ("value", "name", "trainable", "node")
 
     def __init__(self, value, trainable: bool = False, name: str | None = None):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.name = name
         self.trainable = trainable
-        self.parents: tuple["Variable", ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._grad: np.ndarray | None = None
+        self.node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
+
+    @property
+    def parents(self) -> tuple[Node, ...]:
+        return () if self.node is None else self.node.parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return None if self.node is None else self.node._backward
+
+    @_backward.setter
+    def _backward(self, rule) -> None:
+        node_of(self)._backward = rule
+
+    @property
+    def _grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node._grad
+
+    @_grad.setter
+    def _grad(self, arr) -> None:
+        node_of(self)._grad = arr
 
     @property
     def grad(self) -> Tensor:
@@ -75,17 +124,18 @@ class Variable:
         return Tensor._wrap(self._grad.copy())
 
     def zero_grad(self) -> None:
-        self._grad = None
+        if self.node is not None:
+            self.node._grad = None
 
     def __repr__(self) -> str:
         return f"Variable({self.name or 'unnamed'}, shape={self.shape})"
 
 
 class Tape:
-    """Ordered record of operations for one forward pass."""
+    """Ordered record of the nodes of one forward pass."""
 
     def __init__(self):
-        self.ops: list[Variable] = []
+        self.ops: list[Node] = []
 
     def __enter__(self) -> "Tape":
         _TAPES.tapes.append(self)
@@ -101,13 +151,14 @@ class Tape:
         a gradient reads zeros through ``grad`` (a disconnected variable is not
         an error).
 
-        Backward consumes the record: it pops each node and clears its rule
-        and ``parents`` before running the rule, holding no reference to the
-        node meanwhile. So a rule runs once, and an activation, op output or
-        intermediate gradient is freed once the last rule that reads it has
+        The record holds nodes: rules, parent nodes and gradients, no value.
+        Backward consumes it: it pops each node and clears its rule and
+        ``parents`` before running the rule, holding no reference to the node
+        meanwhile. So a rule runs once, and an array a rule read, or an
+        intermediate gradient, is freed once the last rule that reads it has
         run. Afterwards ``ops`` is empty, leaf gradients stay accumulated on
-        the variables until ``zero_grad``, and a node the caller still holds
-        (the loss, say) keeps its value and its own gradient.
+        the variables until ``zero_grad``, and a variable the caller still
+        holds (the loss, say) keeps its value and its own gradient.
         """
         if loss.value.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -122,23 +173,36 @@ class Tape:
                 rule(g)
 
 
-def _accum(v: Variable, arr: np.ndarray) -> None:
+def _accum(v: Node | Variable, arr: np.ndarray) -> None:
     # The first gradient is kept as given, not copied, and later ones are
     # added into it in place. So a rule must hand each parent a float64
     # array that the rule made, does not read again and gives no other
     # parent; disjoint row blocks of one fresh array count as separate arrays.
+    # A rule hands it its parents' nodes; a variable reaches its node
+    # through ``Variable._grad``.
     if v._grad is None:
         v._grad = arr
     else:
         v._grad += arr
 
 
+def node_of(v: Variable) -> Node:
+    """``v``'s node, made now if ``v`` has none yet (a leaf, or an untaped output)."""
+    node = v.node
+    if node is None:
+        node = v.node = Node()
+    return node
+
+
 def record(out: Variable, parents: tuple[Variable, ...], backward) -> Variable:
-    """Attach a backward rule to ``out`` and append it to the active tape."""
-    tape = _TAPES.tapes[-1]
-    out.parents = parents
-    out._backward = backward
-    tape.ops.append(out)
+    """Give ``out`` a node with ``backward`` and the parents' nodes, and append it to the active tape.
+
+    ``backward`` is to capture its parents' nodes (:func:`node_of`) and the
+    arrays it reads, not the variables, so that it keeps no value it does
+    not read.
+    """
+    node = out.node = Node(backward, tuple(map(node_of, parents)))
+    _TAPES.tapes[-1].ops.append(node)
     return out
 
 
@@ -163,10 +227,11 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Variable:
     idx = tuple(slice(start, stop) if d == axis else slice(None) for d in range(len(shape)))
     out = Variable(Tensor._wrap(a.value.data[idx].copy()))
     if taping():
+        src = node_of(a)
         def bw(g):
             full = np.zeros(shape, dtype=np.float64)
             full[idx] = g
-            _accum(a, full)
+            _accum(src, full)
         record(out, (a,), bw)
     return out
 

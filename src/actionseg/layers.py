@@ -3,9 +3,11 @@
 All operations act on (frames x channels) matrices with time as the leading
 axis, take :class:`~actionseg.autodiff.Variable` inputs (plain tensors are
 wrapped as constants), and register a hand-derived backward rule on the
-active tape. Every rule here is validated against central finite differences
-in the test suite; that check is the master numerical invariant of the
-project.
+active tape. A rule captures its parents' nodes and the arrays it reads,
+never a variable, so an output that no rule reads is freed as soon as its
+caller drops it. Every rule here is validated against central finite
+differences in the test suite; that check is the master numerical invariant
+of the project.
 
 Each loop is written once: both convolutions run on :func:`_convolution`
 and all LSTM ops on :func:`_recurrence`. The convolution core has two
@@ -35,7 +37,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff as ad
-from .autodiff import Variable, as_variable, record, taping
+from .autodiff import Variable, as_variable, node_of, record, taping
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
@@ -287,8 +289,9 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
       each of the three sums; for long inputs and long kernels it does a
       fraction of the direct path's multiply-adds.
 
-    The tape keeps the padded input and M, nothing else; the backward pass
-    recomputes what it needs. M's gradient folds onto the taps by a
+    The rule keeps the padded input and M, no other array, and the input's
+    node only when it owes the input a gradient; the backward pass
+    recomputes what else it needs. M's gradient folds onto the taps by a
     transposed view, or one GEMM with the phase map.
     """
     x = as_variable(x)
@@ -317,8 +320,9 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
     out = Variable(Tensor._wrap(out_arr))
 
     if taping():
-        kernels, bias = p.kernels, p.bias
-        wants_dx = _wants_grad(x)
+        kernels, bias = node_of(p.kernels), node_of(p.bias)
+        src = node_of(x) if _wants_grad(x) else None
+        wants_dx = src is not None
         def bw(g):
             g_s = g.reshape(s_len, pf)
             if n:
@@ -332,8 +336,8 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
             ad._accum(kernels, dk)
             ad._accum(bias, g.sum(axis=0))
             if wants_dx:
-                ad._accum(x, dpadded[left:left + s_len])
-        record(out, (x, kernels, bias), bw)
+                ad._accum(src, dpadded[left:left + s_len])
+        record(out, (x, p.kernels, p.bias), bw)
     return out
 
 
@@ -587,6 +591,7 @@ def norm_relu(x) -> Variable:
     out = Variable(Tensor._wrap(r / s))
 
     if taping():
+        src = node_of(x)
         def bw(g):
             dr = g / s
             if m > 0.0:
@@ -594,7 +599,9 @@ def norm_relu(x) -> Variable:
                 # routed to the earliest maximal entry
                 amax = np.unravel_index(np.argmax(r), r.shape)
                 dr[amax] -= (g * r).sum() / (s * s)
-            ad._accum(x, dr * (xd > 0.0))
+            # r > 0 exactly where x > 0, NaN and -0.0 included, so the
+            # rule keeps r alone and not the input
+            ad._accum(src, dr * (r > 0.0))
         record(out, (x,), bw)
     return out
 
@@ -622,11 +629,12 @@ def max_pool_time(x) -> Variable:
     out = Variable(Tensor._wrap(np.where(keep, even, odd)))
 
     if taping():
+        src = node_of(x)
         def bw(g):
             dx = np.zeros((t_len, channels), dtype=np.float64)
             np.copyto(dx[0::2], g, where=keep)
             np.copyto(dx[1::2], g, where=~keep)
-            ad._accum(x, dx)
+            ad._accum(src, dx)
         record(out, (x,), bw)
     return out
 
@@ -641,8 +649,9 @@ def upsample_repeat(x) -> Variable:
     out = Variable(Tensor._wrap(np.repeat(xd, 2, axis=0)))
 
     if taping():
+        src = node_of(x)
         def bw(g):
-            ad._accum(x, g.reshape(t_len, 2, channels).sum(axis=1))
+            ad._accum(src, g.reshape(t_len, 2, channels).sum(axis=1))
         record(out, (x,), bw)
     return out
 
@@ -756,10 +765,11 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
         return Variable(Tensor._wrap(body.reshape(t_len, n * hidden)))
 
     out = Variable(Tensor._wrap(np.concatenate([_steps(hs[1:, d], d) for d in range(n)], axis=1)))
-    # bind the block variables now: the params objects may be re-pointed
-    # at other variables by the time backward runs
+    # bind the block variables' nodes now: the params objects may be
+    # re-pointed at other variables by the time backward runs
     block_vars = [var for p in units for _, var in p.blocks()]
-    wants_dx = _wants_grad(x)
+    block_nodes = list(map(node_of, block_vars))
+    src = node_of(x) if _wants_grad(x) else None
     def bw(g):
         da = _gate_grads(gates, cs, g, np.stack([w.wh_t.T for w in stacks]))
         for d, w in enumerate(stacks):
@@ -772,13 +782,13 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
             # row block k of each gradient is the k-th field of its group
             grads = (*dwx.reshape(4, hidden, -1), *dwh.reshape(4, hidden, hidden),
                      *db.reshape(4, hidden))
-            for var, grad in zip(block_vars[12 * d:12 * (d + 1)], grads):
-                ad._accum(var, grad)
-            if wants_dx:
+            for node, grad in zip(block_nodes[12 * d:12 * (d + 1)], grads):
+                ad._accum(node, grad)
+            if src is not None:
                 part = _steps(a @ w.wx, d)
                 dx = part if d == 0 else np.add(dx, part, dx)
-        if wants_dx:
-            ad._accum(x, dx)
+        if src is not None:
+            ad._accum(src, dx)
     record(out, (x,) + tuple(block_vars), bw)
     return out
 
@@ -898,8 +908,9 @@ def softmax_time(z) -> Variable:
     out = Variable(Tensor._wrap(y))
 
     if taping():
+        src = node_of(z)
         def bw(g):
-            ad._accum(z, (g - (g * y).sum(axis=1, keepdims=True)) * y)
+            ad._accum(src, (g - (g * y).sum(axis=1, keepdims=True)) * y)
         record(out, (z,), bw)
     return out
 
@@ -917,12 +928,12 @@ def time_softmax_dense(d, p: DenseParams) -> Variable:
     logits = Variable(Tensor._wrap(z))
 
     if taping():
-        weight, bias = p.W, p.b
+        src, weight, bias = node_of(d), node_of(p.W), node_of(p.b)
         def bw(g):
-            ad._accum(d, g @ w)
+            ad._accum(src, g @ w)
             ad._accum(weight, g.T @ dd)
             ad._accum(bias, g.sum(axis=0))
-        record(logits, (d, weight, bias), bw)
+        record(logits, (d, p.W, p.b), bw)
     return softmax_time(logits)
 
 
@@ -936,13 +947,21 @@ def _dropout_impl(x, rate: float, rng, training: bool, spatial: bool) -> Variabl
     if not training or rate == 0.0:
         return x
     scale = 1.0 / (1.0 - rate)
-    # kept as bool, an eighth of a float mask; keep * scale is exactly 0.0 or scale
+    # kept as bool, an eighth of a float mask. Multiplying by the mask, then
+    # by scale in place, gives the bits of multiplying by keep * scale, NaN
+    # and inf included: a kept entry is v * scale either way, and a dropped
+    # one v * 0.0, a signed zero or NaN, which scale leaves as it is.
     keep = rng.random((1, xd.shape[1]) if spatial else xd.shape) >= rate
-    out = Variable(Tensor._wrap(xd * (keep * scale)))
+    out_arr = np.multiply(xd, keep)
+    out_arr *= scale
+    out = Variable(Tensor._wrap(out_arr))
 
     if taping():
+        src = node_of(x)
         def bw(g):
-            ad._accum(x, g * (keep * scale))
+            dx = np.multiply(g, keep)
+            dx *= scale
+            ad._accum(src, dx)
         record(out, (x,), bw)
     return out
 

@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import (Tape, Variable, as_variable, finite_diff_check, record, slice_axis,
-                       taping, _accum)
+from .autodiff import (Tape, Variable, as_variable, finite_diff_check, node_of, record,
+                       slice_axis, taping, _accum)
 from .errors import ContractError, ShapeError
 from .metrics import MetricsReport, evaluate
 from .model import Model, save_checkpoint
@@ -92,10 +92,11 @@ def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
     out = Variable(Tensor._wrap(np.asarray(-(np.add.reduce(np.log(guarded)) / n))))
 
     if taping():
+        src, shape = node_of(yhat), probs.shape
         def bw(g):
-            d = np.zeros_like(probs)
+            d = np.zeros(shape, dtype=np.float64)
             d[idx, lbl] = -float(g) / (n * guarded)
-            _accum(yhat, d)
+            _accum(src, d)
         record(out, (yhat,), bw)
     return out
 

@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from actionseg.errors import ContractError
 from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.tensor import Tensor
 from actionseg.train import cross_entropy_loss
+from memory_helpers import TracedMemory
 from tape_helpers import dot
 
 
@@ -166,6 +168,8 @@ def test_ops_without_tape_record_nothing():
     x = Variable([[1.0, 2.0]], trainable=True)
     y = L.norm_relu(x)
     assert y.parents == () and y._backward is None
+    # an untaped op makes no node, for its output or its input
+    assert y.node is None and x.node is None
 
 
 def test_bias_broadcast_gradient():
@@ -199,6 +203,115 @@ def test_a_taped_step_gives_every_parameter_its_own_gradient_memory(variant):
         for other in grads[i + 1:]:
             assert not np.shares_memory(g, other)
         assert not any(np.shares_memory(g, v.value.data) for v in model.params.values())
+
+
+# sha256 of every parameter gradient's bytes, in table order, after one
+# taped step of _toy_model(variant) at 13 frames; recorded with numpy 2.4.6
+# and its bundled OpenBLAS 0.3.31, when the tape still held every op output
+GOLDEN_STEP_GRADS = {
+    "full": "055b6601b8ee68e4298892d78427b6ddba71ba3db1540bf9cdf8b608ae9267a2",
+    "high": "5b7b1fd84821a92fa6114f34153d44e6dbdb75038cc89207b92362df7b577d44",
+    "low": "0df1bd701d77c3e999db19985b220c720120c303d72e97830359fd33290dcbb7",
+    "conv_only": "537e765b1965f978ba27954fba95a6d82899216448f42b883a2ecb37118bdee3",
+}
+
+
+def _watch_values(monkeypatch):
+    """Weak references to the value of the first output of some layer ops, by op name.
+
+    ``conv1d_same`` is watched at its input: the first one reads the
+    model's padded input.
+    """
+    refs = {}
+
+    def spy(name, of_input=False):
+        real = getattr(L, name)
+
+        def op(x, *args):
+            out = real(x, *args)
+            refs.setdefault(name, weakref.ref((x if of_input else out).value.data))
+            return out
+        monkeypatch.setattr(L, name, op)
+
+    for name in ("norm_relu", "spatial_dropout", "max_pool_time", "upsample_bilstm"):
+        spy(name)
+    spy("conv1d_same", of_input=True)
+    return refs
+
+
+def _toy_model(variant, **sizes):
+    return build(ModelConfig(**(dict(input_dim=3, num_classes=2, variant=variant, k=2, conv_len=5,
+                                      hidden=4, seed=9) | sizes)))
+
+
+def _taped_step(model, t_len):
+    """One taped training step of ``model``, dropout on, before its backward: (tape, loss)."""
+    cfg = model.config
+    x = np.random.default_rng(10).normal(size=(t_len, cfg.input_dim))
+    tape = Tape()
+    with tape:
+        probs = model.forward(x, training=True, rng=np.random.default_rng(11))
+        loss = cross_entropy_loss(probs, np.arange(t_len) % cfg.num_classes)
+    return tape, loss
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_taped_step_keeps_only_the_values_its_rules_read(variant, monkeypatch):
+    # 13 frames are padded to 16, so the padded input is an array of the
+    # model's own, which only enc1's conv reads
+    refs = _watch_values(monkeypatch)
+    model = _toy_model(variant)
+    tape, loss = _taped_step(model, 13)
+    assert [name for name, ref in refs.items() if ref() is not None] == []
+    tape.backward(loss)
+    blob = b"".join(var._grad.tobytes() for var in model.params.values())
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_STEP_GRADS[variant]
+
+
+def test_a_taped_full_step_holds_less_than_every_op_output():
+    model = _toy_model("full", input_dim=64, num_classes=10, conv_len=30, hidden=64)
+    with TracedMemory() as mem:
+        tape, loss = _taped_step(model, 501)
+        held = mem.held()
+        tape.backward(loss)
+    # 10.25 MB were held after the forward, and the step peaked at 12.02 MB,
+    # while the tape held every op output and the rules their inputs; 8.14
+    # and 9.99 MB holding what the rules read
+    assert held < 9.0e6, held / 1e6
+    assert mem.peak < 11.0e6, mem.peak / 1e6
+
+
+def _norm_relu_grad(wrap=None):
+    """x's gradient of dot(norm_relu(x), w); ``wrap(new_ops, out)`` may wrap the op's rule."""
+    x = Variable(np.random.default_rng(13).normal(size=(5, 3)), trainable=True)
+    w = np.random.default_rng(14).normal(size=(5, 3))
+    tape = Tape()
+    with tape:
+        out = L.norm_relu(x)
+        if wrap is not None:
+            wrap(tape.ops[-1:], out)
+        loss = dot(out, w)
+    tape.backward(loss)
+    return x.grad.data
+
+
+def _double_through_output(new_ops, out):
+    # as perfbench/selfcheck.py plants a defect
+    rule = out._backward
+    out._backward = lambda g: rule(2.0 * g)
+
+
+def _double_through_tape(new_ops, out):
+    # as perfbench/tracer.py wraps the rules of an op's new tape entries
+    for node in new_ops:
+        rule = node._backward
+        node._backward = lambda g, rule=rule: rule(2.0 * g)
+    assert out._backward is new_ops[-1]._backward
+
+
+@pytest.mark.parametrize("wrap", [_double_through_output, _double_through_tape])
+def test_a_wrapped_rule_is_the_one_backward_runs(wrap):
+    assert np.array_equal(_norm_relu_grad(wrap), 2.0 * _norm_relu_grad())
 
 
 def test_finite_diff_linear_is_exact():

@@ -1,6 +1,5 @@
 import struct
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ from actionseg.data import (Dataset, DatasetManifest, SequenceSample, SynthConfi
                             synth_prototypes)
 from actionseg.errors import ConfigError, ContractError, LoadError
 from actionseg.tensor import Tensor
+from memory_helpers import TracedMemory
 
 RNG = np.random.default_rng(80)
 
@@ -64,12 +64,9 @@ def test_text_features_are_parsed_without_holding_the_file_bytes(tmp_path):
     sample = SequenceSample("v", Tensor(rng.normal(size=(1000, 64))), np.zeros(1000, dtype=np.int64))
     save_dataset(Dataset(DatasetManifest(["a", "b"], 64, {"test": ["v"]}), {"v": sample}), tmp_path)
     path = tmp_path / "v.features.txt"
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         feats = load_features(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = mem.peak
     assert np.array_equal(feats.data, sample.features.data)
     # the 1.26 MB file peaks at 0.77 times its size: the 0.51 MB output and
     # one block of rows in flight; the row loop held the text and its lines
@@ -83,12 +80,9 @@ def test_binary_features_are_read_straight_into_their_array(tmp_path):
     save_dataset(Dataset(DatasetManifest(["a", "b"], 64, {"test": ["v"]}), {"v": sample}), tmp_path,
                  binary=True)
     path = tmp_path / "v.features.bin"
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         feats = load_features(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = mem.peak
     assert np.array_equal(feats.data, sample.features.data)
     assert feats.data.flags.owndata and feats.data.flags.aligned
     # the file's bytes are held once, in the output

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from actionseg.errors import ContractError, ShapeError
 from actionseg.model import ModelConfig, build
 from actionseg.tensor import Tensor
 from actionseg.train import AdamState, adam_step
+from memory_helpers import TracedMemory
 from tape_helpers import dot, embed
 
 RNG = np.random.default_rng(20)
@@ -117,15 +117,12 @@ def test_conv_taped_memory_stays_below_a_patch_matrix():
     rng = np.random.default_rng(101)
     x = Variable(rng.normal(size=(t_len, channels)))
     p = conv_params(channels, channels, width, rng=rng)
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         with ad.Tape() as tape:
             out = L.conv1d_same(x, p)
             loss = dot(out, np.ones(out.shape))
         tape.backward(loss)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = mem.peak
     # a (T, C_in * width) patch matrix alone would take 47 MB
     assert peak < 16e6, peak / 1e6
 
@@ -573,12 +570,9 @@ def test_upsample_bilstm_untaped_memory_stays_below_the_composite():
     rng = np.random.default_rng(105)
     x = Variable(rng.normal(size=(s_len, channels)))
     fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         out = L.upsample_bilstm(x, fwd, bwd)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = mem.peak
     assert out.value.shape == (2 * s_len, 2 * hidden)
     # bilstm(upsample_repeat(x)) computed as two lstm_forward passes, with
     # reversed copies and a concatenation, peaks at 16.9 MB at these sizes
@@ -591,17 +585,13 @@ def test_upsample_bilstm_backward_works_in_the_forward_buffers():
     rng = np.random.default_rng(106)
     x = Variable(rng.normal(size=(s_len, channels)), trainable=True)
     fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         with ad.Tape() as tape:
             out = L.upsample_bilstm(x, fwd, bwd)
             loss = dot(out, np.ones(out.shape))
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+        held = mem.held()
         tape.backward(loss)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = mem.peak
     assert x.grad.shape == (s_len, channels)
     # the backward's peak above what the forward holds: 20.98 MB with a
     # second gate-sized buffer for the gate gradient, tanh(c) and the
@@ -615,12 +605,9 @@ def test_upsample_bilstm_untaped_keeps_no_step_history():
     rng = np.random.default_rng(107)
     x = Variable(rng.normal(size=(s_len, channels)))
     fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         out = L.upsample_bilstm(x, fwd, bwd)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = mem.peak
     assert out.value.shape == (2 * s_len, 2 * hidden)
     # 15.1 MB (stacked weights included) with every step's gates, cell and
     # hidden states kept and the output concatenated from them; 7.2 MB with
@@ -713,6 +700,22 @@ def test_spatial_dropout_rejects_an_input_that_is_not_frames_by_channels():
         for training in (True, False):
             with pytest.raises(ShapeError):
                 L.spatial_dropout(Variable(np.ones(shape)), 0.5, np.random.default_rng(0), training)
+
+
+def test_dropout_gives_the_bits_of_the_float_mask_nan_and_inf_included():
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -1.5, 2.0, 1e308])
+    xd, g = np.resize(special, (16, 8)), np.resize(special[::-1], (16, 8))
+    scale = 1.0 / (1.0 - 0.3)
+    for fn, mask_shape in ((L.dropout, (16, 8)), (L.spatial_dropout, (1, 8))):
+        x = Variable(xd, trainable=True)
+        with np.errstate(all="ignore"):
+            with ad.Tape() as tape:
+                out = fn(x, 0.3, np.random.default_rng(5), True)
+                loss = dot(out, g)
+            tape.backward(loss)
+            keep = np.random.default_rng(5).random(mask_shape) >= 0.3
+            assert out.value.data.tobytes() == (xd * (keep * scale)).tobytes()
+            assert x._grad.tobytes() == (g * (keep * scale)).tobytes()
 
 
 def test_dropout_monte_carlo_unbiased():

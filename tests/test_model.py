@@ -5,7 +5,6 @@ import struct
 import sys
 import tempfile
 import threading
-import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from actionseg.autodiff import Tape, Variable
 from actionseg.errors import ConfigError, ContractError, LoadError, ShapeError
 from actionseg.model import (VARIANTS, ModelConfig, build, describe, format_describe,
                              load_checkpoint, save_checkpoint)
+from memory_helpers import TracedMemory
 
 RNG = np.random.default_rng(60)
 
@@ -377,14 +377,10 @@ def test_checkpoint_claiming_a_large_model_allocates_only_what_it_holds(tmp_path
     path = tmp_path / "checkpoint.bin"
     path.write_bytes(b"ASEGCKP1" + struct.pack("<II", 1, len(raw)) + raw + struct.pack("<I", 0))
     assert path.stat().st_size == 167
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         with pytest.raises(LoadError, match="missing parameters"):
             load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6, peak
+    assert mem.peak < 1e6, mem.peak
 
 
 @pytest.mark.parametrize("variant", ["full", "conv_only"])
@@ -394,13 +390,9 @@ def test_checkpoint_load_holds_each_byte_once(tmp_path, variant):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(build(ModelConfig(input_dim=64, num_classes=10, variant=variant, k=2,
                                       conv_len=30, hidden=64, seed=3)), path)
-    tracemalloc.start()
-    try:
+    with TracedMemory() as mem:
         load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.2 * path.stat().st_size, peak / path.stat().st_size
+    assert mem.peak < 1.2 * path.stat().st_size, mem.peak / path.stat().st_size
 
 
 @lru_cache(maxsize=None)
