@@ -671,18 +671,21 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     computed on the un-repeated rows. Every direction starts from zero
     hidden and cell states.
 
-    Per-step history is kept only for a tape, which BPTT reads. There is one
-    step loop; what differs is the rows it walks over.
+    There is one step loop; what differs is the rows it walks over. Either
+    way the steps write the hidden states into one (T+2, n, H) buffer ``hs``
+    whose first and last rows stay zero: row t+1 holds every direction's h
+    after step t, row t the h that step reads. After the loop direction 1 is
+    put in frame order in place, and rows 1..T are the output, a view.
 
     - Taped: the gate buffer (T, 4, n, H) holds each step's projection plus
       bias, repeated for ``upsample``, and the step turns it into the gates
-      in place; ``cs`` (T+1, n, H) keeps every cell state and ``hs`` every
-      hidden state, and the output is a frame-ordered copy of ``hs``.
+      in place; ``cs`` (T+1, n, H) keeps every cell state, row 0 the zero
+      initial one. Per-step history is kept only for a tape, which BPTT
+      reads, and the output buffer is the only copy of the hidden states.
     - Untaped: the projection plus bias is kept for the S input rows only,
       and step t reads row t // 2 with ``upsample``; each step adds the
       recurrent term into one reused gate row and updates one cell row in
-      place; ``hs`` is the output buffer, in which direction 1 is put in
-      frame order in place at the end.
+      place.
 
     Each step's gate row is laid out gate x direction x unit, so one call of
     ``expit`` covers the three sigmoid gates of every direction and one call
@@ -693,18 +696,20 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     direction a step costs its calls, not its arithmetic.
 
     The backward pass works in the forward's buffers, which the tape lets
-    it do because a rule runs once (:func:`_gate_grads`). The
-    gate-derivative factors overwrite the activations in the gate buffer,
-    and the step loop overwrites them with the gate gradient; tanh(c)*o(1-o)
-    overwrites each step's cell state once the forget factor has read the
-    one before it. The loop runs the same way as the forward's: one stacked
-    (4H,) @ (4H, H) matmul per step, every other call covering all
-    directions. The rows keep the gate order of the forward pass, so row
-    block k of each W_x, W_h and bias gradient is the k-th field of its
-    group. Each step writes its gate gradient back direction-major, so the
-    products of every direction read its (T, 4H) rows as a strided view of
-    the gate buffer. With ``upsample`` the row pairs of the gate gradient
-    are summed before the W_x and input-gradient GEMMs.
+    it do because a rule runs once. :func:`_gate_grads` turns the gate
+    buffer into the gate gradient by BPTT, a block of steps at a time, and
+    overwrites ``cs`` on the way. The rule then lets go of ``cs``; it reads
+    each direction's h_{t-1} in step order from the output buffer, row t for
+    direction 0 and row T+1-t for direction 1, both of them zero at t = 0,
+    forms both W_h gradients and lets go of the output buffer too. The rows
+    keep the gate order of the forward pass, so row block k of each W_x, W_h
+    and bias gradient is the k-th field of its group. Each step wrote its
+    gate gradient back direction-major, so the products of every direction
+    read its (T, 4H) rows as a strided view of the gate buffer. With
+    ``upsample`` the row pairs of the gate gradient are summed in place,
+    into the even rows, before the W_x and input-gradient GEMMs. Direction
+    1's W_x gradient reads a copy of the input in its step order, and its
+    share of the input gradient is computed into that copy.
     """
     x = as_variable(x)
     xd = x.value.data
@@ -730,8 +735,9 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     gates = proj_rows if taped else np.empty((4, n, hidden), dtype=np.float64)
     sig = gates.reshape(-1, 4 * n * hidden)[:, :3 * n * hidden]  # flat: expit is slower on a 3D view
     i_s, f_s, o_s, g_s = gates.swapaxes(0, -3)
-    # hs[t + 1] and cs[t + 1] are h and c after step t; row 0 the zero initial states
-    hs = np.zeros((t_len + 1, n, hidden), dtype=np.float64)
+    # hs[t + 1] and cs[t + 1] are h and c after step t; hs's rows 0 and T+1
+    # and cs's row 0 stay zero
+    hs = np.zeros((t_len + 2, n, hidden), dtype=np.float64)
     cs = np.zeros((t_len + 1, n, hidden) if taped else (n, hidden), dtype=np.float64)
     if taped:
         step_rows = (gates, gates, sig, g_s, f_s, i_s, o_s, cs[:-1], cs[1:])
@@ -746,7 +752,7 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
 
     # zip hands each step its rows as views, without indexing in Python
     for p, a, sg, cd, f, i, o, c_prev, c, h, h_prev in zip(
-            *step_rows, hs[1:], hs[:-1].reshape(t_len, n, 1, hidden)):
+            *step_rows, hs[1:-1], hs[:-2].reshape(t_len, n, 1, hidden)):
         np.matmul(h_prev, wh_t, rec)
         np.add(p, rec_g, a)
         expit(sg, sg)
@@ -754,43 +760,53 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
         np.multiply(f, c_prev, c)
         c += np.multiply(i, cd, tmp)
         np.multiply(o, np.tanh(c, tmp), h)
-    del wh_t  # a copy of both W_h.T: freed before the output is built
-
+    # wh_t is a copy of both W_h.T; untaped, the projections go too (p, the
+    # last step's row of them, included) before direction 1 is put in frame order
+    del wh_t, p, proj_rows, slots, step_rows
+    body = hs[1:-1]
+    body[:, 1:] = body[::-1, 1:]
+    out = Variable(Tensor._wrap(body.reshape(t_len, n * hidden)))
     if not taped:
-        # hs is the output: the projections go first (p, the last step's row
-        # of them, included), then direction 1 is put in frame order in place
-        del p, proj_rows, slots, step_rows
-        body = hs[1:]
-        body[:, 1:] = body[::-1, 1:]
-        return Variable(Tensor._wrap(body.reshape(t_len, n * hidden)))
+        return out
 
-    out = Variable(Tensor._wrap(np.concatenate([_steps(hs[1:, d], d) for d in range(n)], axis=1)))
     # bind the block variables' nodes now: the params objects may be
     # re-pointed at other variables by the time backward runs
     block_vars = [var for p in units for _, var in p.blocks()]
     block_nodes = list(map(node_of, block_vars))
     src = node_of(x) if _wants_grad(x) else None
     def bw(g):
+        nonlocal cs, hs
         da = _gate_grads(gates, cs, g, np.stack([w.wh_t.T for w in stacks]))
-        for d, w in enumerate(stacks):
-            a = da[:, d]
-            dwh = a.T @ hs[:-1, d]
+        cs = None
+        # each direction's h_{t-1} in step order: rows 0..T-1, or T+1 down to 2
+        a_s = [da[:, d] for d in range(n)]
+        dwhs = [a.T @ _steps(hs[2 * d:t_len + 2 * d, d], d) for d, a in enumerate(a_s)]
+        hs = None
+        for d, (w, a, dwh) in enumerate(zip(stacks, a_s, dwhs)):
             db = a.sum(axis=0)
             if upsample:
-                a = a[0::2] + a[1::2]
-            dwx = a.T @ np.ascontiguousarray(_steps(xd, d))
+                a = np.add(a[0::2], a[1::2], a[0::2])
+            # direction 1's own copy: its share of the input gradient is computed into it
+            x_steps = xd[::-1].copy() if d else xd
+            dwx = a.T @ x_steps
             # row block k of each gradient is the k-th field of its group
             grads = (*dwx.reshape(4, hidden, -1), *dwh.reshape(4, hidden, hidden),
                      *db.reshape(4, hidden))
             for node, grad in zip(block_nodes[12 * d:12 * (d + 1)], grads):
                 ad._accum(node, grad)
             if src is not None:
-                part = _steps(a @ w.wx, d)
-                dx = part if d == 0 else np.add(dx, part, dx)
+                if d == 0:
+                    dx = a @ w.wx
+                else:
+                    dx += _steps(np.matmul(a, w.wx, x_steps), d)
         if src is not None:
             ad._accum(src, dx)
     record(out, (x,) + tuple(block_vars), bw)
     return out
+
+
+# steps per block in which _gate_grads forms its factors
+_BPTT_BLOCK = 64
 
 
 def _gate_grads(gates: np.ndarray, cs: np.ndarray, g: np.ndarray, wh: np.ndarray) -> np.ndarray:
@@ -799,20 +815,61 @@ def _gate_grads(gates: np.ndarray, cs: np.ndarray, g: np.ndarray, wh: np.ndarray
     ``gates`` (T, 4, n, H) holds the activations i, f, o, g of every step
     and ``cs`` (T+1, n, H) the cell states, row 0 the zero initial ones; ``g`` is
     the output gradient (T, n*H) in frame order, ``wh`` (n, 4H, H) the
-    recurrent weights. First the gate-derivative factors overwrite their
-    gates: g*i(1-i), c_{t-1}*f(1-f), o(1-tanh^2 c) and i(1-g^2), after f is
-    copied aside for the cell gradient; then tanh(c)*o(1-o) overwrites
-    ``cs[1:]``. Each step of the loop adds the o row times the hidden
-    gradient to the cell gradient, scales its gate row by the cell gradient
-    into a direction-major scratch row, sets the o gate there to o's factor
-    times the hidden gradient, runs the recurrent GEMV on that row and
-    copies it back over the step's own gates. So the buffer read as (T, n,
-    4H) ends up holding the gate gradient of each direction and step. The
-    only arrays of the size of one gate are the copy of f and one scratch;
-    they and the loop's views of them go when this function returns, before
-    the caller forms the weight gradients.
+    recurrent weights.
+
+    The steps are walked in blocks of ``_BPTT_BLOCK``, from the last block.
+    For block [t0, t1) the gate-derivative factors overwrite their gates:
+    g*i(1-i), c_{t-1}*f(1-f), o(1-tanh^2 c) and i(1-g^2), after f is copied
+    aside for the cell gradient; then tanh(c)*o(1-o) overwrites the block's
+    cell states. So the block reads ``cs[t0:t1]`` and overwrites
+    ``cs[t0+1:t1+1]``, and row t0 is overwritten only by the block before,
+    which runs later. Then each step of the block, from its last, adds the
+    o row times the hidden gradient to the cell gradient, scales its gate
+    row by the cell gradient into a direction-major scratch row, sets the o
+    gate there to o's factor times the hidden gradient, runs the recurrent
+    GEMV on that row and copies it back over the step's own gates. So the
+    buffer read as (T, n, 4H) ends up holding the gate gradient of each
+    direction and step, and ``cs`` holds nothing the caller can use.
+
+    The copy of f, the factors' scratch and the output gradient in step
+    order are made a block at a time, so no array of the size of one gate
+    is made. Every function here acts on each element alone, so the bits
+    are those of whole-length passes whatever the block length.
     """
     t_len, _, n, hidden = gates.shape
+    g = g.reshape(t_len, n, hidden)
+    g_steps = [_steps(g[:, d], d) for d in range(n)]
+    dh, dc = np.zeros((2, n, hidden), dtype=np.float64)
+    dh_rec = dh.reshape(n, 1, hidden)
+    tmp = np.empty((n, hidden), dtype=np.float64)
+    row = np.empty((n, 1, 4 * hidden), dtype=np.float64)
+    row_g = row.reshape(n, 4, hidden).transpose(1, 0, 2)  # row in the gate row's layout
+    row_o = row_g[2]
+    da = gates.reshape(t_len, n, 4 * hidden)
+    for t0 in reversed(range(0, t_len, _BPTT_BLOCK)):
+        t1 = min(t0 + _BPTT_BLOCK, t_len)
+        block = gates[t0:t1]
+        f_keep, tc = _gate_factors(block, cs[t0:t1 + 1])
+        dh_in = np.stack([gs[t0:t1] for gs in g_steps], axis=1)
+        for g_t, a, a_o, tc_o, f, da_t in zip(dh_in[::-1], block[::-1], block[::-1, 2], tc[::-1],
+                                              f_keep[::-1], da[t0:t1].reshape(t1 - t0, n, 1, -1)[::-1]):
+            dh += g_t
+            dc += np.multiply(dh, a_o, tmp)
+            np.multiply(a, dc, row_g)
+            np.multiply(tc_o, dh, row_o)
+            np.matmul(row, wh, dh_rec)
+            da_t[...] = row
+            dc *= f
+    return da
+
+
+def _gate_factors(gates: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of :func:`_gate_grads` for the steps of ``gates``, in place; returns (f, tanh(c)*o(1-o)).
+
+    ``gates`` (b, 4, n, H) is a block of steps and ``cs`` (b+1, n, H) their
+    cell states, the one before the block first. The first value returned
+    is a copy of f, the second is ``cs[1:]``.
+    """
     i_s, f_s, o_s, g_s = gates.transpose(1, 0, 2, 3)
     f_keep = f_s.copy()
     tmp = np.multiply(g_s, i_s)
@@ -832,26 +889,7 @@ def _gate_grads(gates: np.ndarray, cs: np.ndarray, g: np.ndarray, wh: np.ndarray
     np.subtract(1.0, o_s, o_s)
     tc *= o_s  # (tanh(c)*o)(1-o)
     o_s[...] = tmp
-    del tmp
-    g = g.reshape(t_len, n, hidden)
-    dh_in = np.stack([_steps(g[:, d], d) for d in range(n)], axis=1)
-    dh, dc = np.zeros((2, n, hidden), dtype=np.float64)
-    dh_rec = dh.reshape(n, 1, hidden)
-    tmp = np.empty((n, hidden), dtype=np.float64)
-    row = np.empty((n, 1, 4 * hidden), dtype=np.float64)
-    row_g = row.reshape(n, 4, hidden).transpose(1, 0, 2)  # row in the gate row's layout
-    row_o = row_g[2]
-    da = gates.reshape(t_len, n, 4 * hidden)
-    for g_t, a, a_o, tc_o, f, da_t in zip(dh_in[::-1], gates[::-1], o_s[::-1], tc[::-1],
-                                          f_keep[::-1], da.reshape(t_len, n, 1, -1)[::-1]):
-        dh += g_t
-        dc += np.multiply(dh, a_o, tmp)
-        np.multiply(a, dc, row_g)
-        np.multiply(tc_o, dh, row_o)
-        np.matmul(row, wh, dh_rec)
-        da_t[...] = row
-        dc *= f
-    return da
+    return f_keep, tc
 
 
 def lstm_forward(x, p: LSTMParams) -> Variable:

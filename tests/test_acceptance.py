@@ -7,10 +7,8 @@ dependency experiment) take a few minutes combined on a small CPU.
 
 import itertools
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -25,17 +23,7 @@ from actionseg.autodiff import Variable
 from actionseg.metrics import Segment, edit_score, levenshtein, overlap_f1
 from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.train import cross_entropy_loss, finite_difference_report, predict, train
-
-
-def _one_thread_pool(workers, monkeypatch):
-    """A pool of spawned workers, each running BLAS on one thread.
-
-    The workers already share the cores; with numpy's default thread count
-    each would also start a BLAS thread per core, and the oversubscribed
-    threads spin.
-    """
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+from worker_helpers import one_thread_pool
 
 
 class _report:
@@ -72,7 +60,7 @@ def test_criterion_1_gradient_fidelity(monkeypatch):
     with _report(1, "gradient fidelity, all variants, every parameter block <= 1e-4"):
         started = time.perf_counter()
         workers = max(1, min(len(VARIANTS), os.cpu_count() or 1))
-        with _one_thread_pool(workers, monkeypatch) as pool:
+        with one_thread_pool(workers, monkeypatch) as pool:
             results = list(pool.map(_gradcheck_variant, VARIANTS))
         elapsed = time.perf_counter() - started
         for variant, rows, seconds in results:
@@ -250,7 +238,7 @@ def _dependency_seed(seed):
 def test_criterion_5_dependency_disambiguation(monkeypatch):
     with _report(5, "recurrent decoder beats conv ablation on ambiguous segments"):
         workers = max(1, min(2, os.cpu_count() or 1))
-        with _one_thread_pool(workers, monkeypatch) as pool:
+        with one_thread_pool(workers, monkeypatch) as pool:
             results = list(pool.map(_dependency_seed, [1, 2, 3, 4, 5]))
         gaps = []
         margins = []
