@@ -111,12 +111,12 @@ def _memo(owner, slot: str, key: tuple, build):
     Keys are tuples of tensors, matched by identity; tensors are immutable,
     so an entry is current exactly while the parameters hold its tensors.
     ``adam_step`` installs new ones, so training rebuilds once per step. The
-    entry lives in the owner's ``__dict__`` and nowhere else, so a block
-    copied field by field (``Stage.swap``, ``Stage.shadow``) starts with no
-    entry, and every ``finite_diff_check`` probe, whose tensor is new, builds
-    afresh. The key is held, so no id in it can be reused; key and value are
-    stored in one assignment, so a concurrent caller sees the old pair or the
-    new one; and the value's arrays are read-only.
+    entry lives in the owner's ``__dict__`` and nowhere else, so a copy of a
+    block (``dataclasses.replace``, as the gradient report makes for each
+    probe) starts with no entry and builds from its own tensors. The key is
+    held, so no id in it can be reused; key and value are stored in one
+    assignment, so a concurrent caller sees the old pair or the new one; and
+    the value's arrays are read-only.
     """
     cached = owner.__dict__.get(slot)
     if cached is not None and all(map(operator.is_, cached[0], key)):
@@ -151,6 +151,8 @@ class LSTMParams:
     b_c: Variable
 
     def __post_init__(self):
+        if self.W_xi.value.ndim != 2:
+            raise ShapeError(f"W_xi shape {self.W_xi.value.shape} is not (hidden, in_dim)")
         h, d = self.W_xi.value.shape
         for name, want in zip(LSTM_FIELDS, [(h, d)] * 4 + [(h, h)] * 4 + [(h,)] * 4):
             got = getattr(self, name).value.shape

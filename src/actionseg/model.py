@@ -28,10 +28,12 @@ Bi-LSTM as two rows.
 Each variant is written once, as the ordered stage table that :func:`build`
 makes (``Model.table``, one :class:`Stage` per wiring layer). Parameter names
 and order, :meth:`Model.forward`, :func:`describe` and the gradient checker's
-restart points are all read off that table. The table is first planned from
-the config alone (``_plan``: every parameter's name, shape and initializer,
-no array), then filled from one source: the seeded draws in :func:`build`,
-or the file's records in :func:`load_checkpoint`, which so draws nothing.
+restart points are all read off that table; the checker passes its own
+copies of a stage's blocks to the stage's ``forward`` and changes no stage.
+The table is first planned from the config alone (``_plan``: every
+parameter's name, shape and initializer, no array), then filled from one
+source: the seeded draws in :func:`build`, or the file's records in
+:func:`load_checkpoint`, which so draws nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,8 +127,10 @@ class Stage:
     ``name`` is the parameter prefix (``enc{i}``, ``mid``, ``dec{i}``, ``out``);
     ``rows`` are its (name, kind) lines of :func:`describe`; ``blocks`` maps
     each typed block's name prefix (``enc1.conv``, ``mid.lstm.fwd``) to the
-    block; ``forward(v, training, rng, *blocks)`` runs the stage;
-    ``shapes(t, width)`` gives the output shape after each row.
+    block; ``forward(v, training, rng, *blocks)`` runs the stage on the
+    blocks it is given, in ``blocks`` order, so a caller can run it on
+    copies of them; ``shapes(t, width)`` gives the output shape after each
+    row.
     """
 
     name: str
@@ -136,52 +139,12 @@ class Stage:
     forward: Callable[..., Variable]
     shapes: Callable[[int, int], list[tuple[int, int]]]
 
-    @cached_property
-    def param_fields(self) -> dict[str, tuple[str, str]]:
-        """Parameter name -> (block prefix, field), block by block in field order."""
-        return {f"{prefix}.{f.name}": (prefix, f.name)
-                for prefix, block in self.blocks.items() for f in dataclasses.fields(block)}
-
     def params(self) -> list[tuple[str, Variable]]:
-        return [(name, getattr(self.blocks[prefix], field))
-                for name, (prefix, field) in self.param_fields.items()]
-
-    def swap(self, name: str, var: Variable) -> "Stage":
-        """A copy of this stage, with a copy of one block, whose parameter ``name`` is ``var``.
-
-        ``var`` must have the shape of the parameter it replaces, or
-        ShapeError is raised. The block's other fields passed its checks when
-        it was built, so that comparison is the only check the copy needs:
-        both copies are made field by field (:func:`_with`), which runs no
-        ``__post_init__``. The new block starts with no memoized weights
-        (``layers._memo``). The gradient check makes one swap per probe.
-        """
-        prefix, field = self.param_fields[name]
-        block = self.blocks[prefix]
-        want = getattr(block, field).value.shape
-        if var.value.shape != want:
-            raise ShapeError(f"{name} shape {var.value.shape} != {want}")
-        return _with(self, blocks={**self.blocks, prefix: _with(block, **{field: var})})
-
-    def shadow(self) -> "Stage":
-        """A copy of this stage whose parameters are fresh variables over the same values."""
-        return _with(self, blocks={
-            prefix: _with(block, **{f: Variable(getattr(block, f).value) for f in block.__dataclass_fields__})
-            for prefix, block in self.blocks.items()})
+        return [(f"{prefix}.{f.name}", getattr(block, f.name))
+                for prefix, block in self.blocks.items() for f in dataclasses.fields(block)]
 
     def __call__(self, v, training: bool = False, rng=None) -> Variable:
         return self.forward(v, training, rng, *self.blocks.values())
-
-
-def _with(obj, **changes):
-    """A copy of the dataclass instance ``obj``, its fields set as in ``obj`` and then ``changes``.
-
-    Neither ``__init__`` nor ``__post_init__`` runs, and nothing but the
-    fields is copied: no memo or cached property kept in ``obj.__dict__``.
-    """
-    copy = object.__new__(type(obj))
-    copy.__dict__.update({f: obj.__dict__[f] for f in obj.__dataclass_fields__}, **changes)
-    return copy
 
 
 class Model:
@@ -191,8 +154,8 @@ class Model:
     order, which is the checkpoint layout. Parameters are mutated only by the
     optimizer between passes, so inference over shared read-only parameters
     is safe from concurrent callers. That holds only because the tape stack
-    is per thread and the gradient check runs on shadow copies of the
-    stages, whose variables are not the model's.
+    is per thread and the gradient check runs the stages on copies of their
+    blocks, whose variables are not the model's.
     """
 
     def __init__(self, config: ModelConfig, table: list[Stage]):

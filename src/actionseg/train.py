@@ -9,7 +9,7 @@ makes two runs with the same seed and data bit-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -121,9 +121,13 @@ def adam_step(params, grads, state: AdamState):
     each parameter moves by -lr * m_hat / (sqrt(v_hat) + eps). The moments
     are updated in place, by the same operations in the same order as that
     formula, so the result is bit-identical to computing it afresh.
+
+    A gradient that is not C-ordered (the plain convolution's kernel
+    gradient is a transposed view) is copied to C order first, so the
+    moments and the updated parameter are C-ordered.
     """
     params = list(params)
-    grads = [g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64) for g in grads]
+    grads = [g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64, order="C") for g in grads]
     if len(params) != len(grads):
         raise ContractError(f"{len(params)} parameters but {len(grads)} gradients")
     state.t += 1
@@ -288,35 +292,42 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
 
     Each block is checked coordinate-by-coordinate against central
     differences with the model's other parameters held fixed, in
-    ``model.params`` (stage table) order. The report runs on a shadow of the
-    stage table (``Stage.shadow``): the same read-only values under fresh
-    variables, so its taped passes never touch the model's variables or
-    their gradients; the gradients they leave on the shadow are dropped after
-    each block's check. Stage outputs upstream of the owning stage do not
-    depend on the block, so they are computed once; each probe reruns from a
-    copy of the owning stage built around the probe variable (``Stage.swap``).
+    ``model.params`` (stage table) order. Each stage's ``forward`` runs on a
+    shadow of its blocks: copies whose fields are fresh variables over the
+    same read-only tensors, so the report assigns nothing to the model and
+    its taped passes never touch the model's variables or their gradients;
+    the gradients they leave on the shadow are dropped after each block's
+    check. Stage outputs upstream of the owning stage do not depend on the
+    block, so they are computed once; each probe reruns from the owning
+    stage with the probed block replaced by a new copy holding the probe
+    variable, which so builds its memoized weights (``layers._memo``) anew.
     """
-    table = [stage.shadow() for stage in model.table]
+    shadow = [[replace(block, **{f.name: Variable(getattr(block, f.name).value) for f in fields(block)})
+               for block in stage.blocks.values()] for stage in model.table]
     arr, t_len = model.prepare_input(x)
     inputs = [Tensor._wrap(arr)]
-    for stage in table:
-        inputs.append(stage(Variable(inputs[-1])).value)
+    for stage, blocks in zip(model.table, shadow):
+        inputs.append(stage.forward(Variable(inputs[-1]), False, None, *blocks).value)
 
-    def loss_from(s, name, v):
-        u = table[s].swap(name, v)(Variable(inputs[s]))
-        for stage in table[s + 1:]:
-            u = stage(u)
+    def loss_from(s, b, attr, probe):
+        blocks = list(shadow[s])
+        blocks[b] = replace(blocks[b], **{attr: probe})
+        u = model.table[s].forward(Variable(inputs[s]), False, None, *blocks)
+        for stage, later in zip(model.table[s + 1:], shadow[s + 1:]):
+            u = stage.forward(u, False, None, *later)
         if u.value.shape[0] != t_len:
             u = slice_axis(u, 0, 0, t_len)
         return cross_entropy_loss(u, labels)
 
-    def check(s, name, var):
-        error = finite_diff_check(partial(loss_from, s, name), var.value, eps)
+    def check(s, b, attr):
+        error = finite_diff_check(partial(loss_from, s, b, attr), getattr(shadow[s][b], attr).value, eps)
         # the taped pass left gradients on the shadow variables it reached,
         # which nothing reads
-        for stage in table[s:]:
-            for _, shadow_var in stage.params():
-                shadow_var.zero_grad()
+        for blocks in shadow[s:]:
+            for block in blocks:
+                for f in fields(block):
+                    getattr(block, f.name).zero_grad()
         return error
 
-    return [(name, check(s, name, var)) for s, stage in enumerate(table) for name, var in stage.params()]
+    return [(f"{prefix}.{f.name}", check(s, b, f.name)) for s, stage in enumerate(model.table)
+            for b, (prefix, block) in enumerate(stage.blocks.items()) for f in fields(block)]

@@ -1,29 +1,39 @@
-"""Golden digests: the bytes of one seeded taped training step per variant.
+"""Golden digests: the bytes of seeded runs per variant.
 
-A digest is the sha256 of the probabilities and every parameter gradient,
-in table order, of one taped step with dropout on, at 1375 frames, d=64,
-w=30 and H=64. At that length the convolutions take the frequency-domain
-path and each Bi-LSTM backward walks several blocks of steps. A change that
-moves any of those bits fails here; a change that moves them on purpose
-records new digests and says which moved.
+Three digests per variant, each pinned by sha256:
+
+- one taped training step with dropout on, at 1375 frames, d=64, w=30 and
+  H=64: the probabilities and every parameter gradient, in table order. At
+  that length the convolutions take the frequency-domain path and each
+  Bi-LSTM backward walks several blocks of steps.
+- the gradient check's rows, ``repr(finite_difference_report(...))``, at
+  k=1, d=2, 2 classes, w=3, H=2 and 6 frames.
+- a seeded 3-epoch ``train`` with dropout 0.2 at k=2, w=5, H=8 on videos of
+  about 60 frames: the checkpoint's bytes, then ``report.kv``'s.
+
+A change that moves any of those bits fails here; a change that moves them
+on purpose records new digests and says which moved.
 
 The bits depend on the BLAS build, whose kernels are chosen for the CPU at
-run time, and on its thread count. So the step runs in a spawned worker with
+run time, and on its thread count. So the runs go to spawned workers with
 BLAS on one thread, and on a build other than the one the digests were
-recorded with the test skips and names both.
+recorded with the tests skip and name both.
 """
 
 import ctypes
 import glob
 import hashlib
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from actionseg.autodiff import Tape
+from actionseg.data import SynthConfig, synth_generate
 from actionseg.model import VARIANTS, ModelConfig, build
-from actionseg.train import cross_entropy_loss
+from actionseg.train import cross_entropy_loss, finite_difference_report, train
 from worker_helpers import one_thread_pool
 
 # (numpy version, OpenBLAS configuration as the library reports it at run time)
@@ -33,6 +43,19 @@ GOLDEN_STEPS = {
     "high": "ec5b53991138498a7e7c2624c1c5e1361e17ae7feecae1f6772f6fcbf38e6a29",
     "low": "07b36083d3a918ff124b1ae44771dae2489c75644d6345acdb262af51bd33ab2",
     "conv_only": "0906f50458860c15d79174c59ea79ba2853f59d014110eebc1a0284db4746388",
+}
+# at k=1 and without dropout, "full" and "low" are the same network: one Bi-LSTM decoder layer
+GOLDEN_REPORTS = {
+    "full": "7573b90d5d833301b8282c1d40c0d8df2d1a2808190038968b7d99b1441d7b6f",
+    "high": "bf7daf585e5e18e7f84173aa48870868fb3798c22c039774bcc07c837bd52689",
+    "low": "7573b90d5d833301b8282c1d40c0d8df2d1a2808190038968b7d99b1441d7b6f",
+    "conv_only": "5c91ee9f9947745e5bbb7e416525932ea8d0c9fa1877ff06f8d7bedb1276d89d",
+}
+GOLDEN_TRAINS = {
+    "full": "bd7ad318fd9856f36bbe6c327db6a3086fe26ceb990ee71d4ba33ad628bb906e",
+    "high": "6697f9b9d94b2b93bb99b78aa8aa14eff0b4c711cf331f67c7bce239c0c9832f",
+    "low": "067fb547f644811d5ba2a2a4f626fdfc798e605da6720c5d7a20cfcd5da23d86",
+    "conv_only": "653740136507f1dee93890a360c48b098808cfeada01c9af08f99a78f848e571",
 }
 
 
@@ -74,13 +97,56 @@ def _step_digest(variant: str) -> tuple[tuple[str, str], str]:
     return _blas_build(), digest.hexdigest()
 
 
-def test_a_seeded_taped_step_gives_the_golden_bytes(monkeypatch):
-    with one_thread_pool(min(2, os.cpu_count() or 1), monkeypatch) as pool:
-        results = dict(zip(VARIANTS, pool.map(_step_digest, VARIANTS)))
+def _report_digest(variant: str) -> tuple[tuple[str, str], str]:
+    """(this build, the digest of ``variant``'s gradient-check rows at a toy size)."""
+    model = build(ModelConfig(input_dim=2, num_classes=2, variant=variant, k=1, conv_len=3,
+                              hidden=2, seed=44))
+    rng = np.random.default_rng(45)
+    rows = finite_difference_report(model, rng.normal(size=(6, 2)), rng.integers(0, 2, size=6))
+    return _blas_build(), hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _train_digest(variant: str) -> tuple[tuple[str, str], str]:
+    """(this build, the digest of the checkpoint and ``report.kv`` of a seeded 3-epoch run)."""
+    ds = synth_generate(SynthConfig(num_classes=4, actions_per_video=5, sub_actions=(2, 3),
+                                    frames_per_sub=(4, 6), feature_dim=6,
+                                    videos_per_split={"train": 2, "val": 1}, seed=46))
+    model = build(ModelConfig(input_dim=6, num_classes=4, variant=variant, k=2, conv_len=5,
+                              hidden=8, dropout_conv=0.2, dropout_lstm=0.2, seed=47))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        report = train(model, ds.split("train"), ds.split("val"), epochs=3, seed=48,
+                       checkpoint_path=path)
+        digest = hashlib.sha256(path.read_bytes())
+    digest.update(report.to_kv().encode())
+    return _blas_build(), digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with pytest.MonkeyPatch.context() as mp, one_thread_pool(min(2, os.cpu_count() or 1), mp) as pool:
+        yield pool
+
+
+def _expect_golden(pool, digest, golden: dict[str, str]) -> None:
+    """Run ``digest`` per variant in ``pool``; skip on another build, else compare with ``golden``."""
+    results = dict(zip(VARIANTS, pool.map(digest, VARIANTS)))
     builds = {found for found, _ in results.values()}
     assert len(builds) == 1, builds
     (here,) = builds
     if here != GOLDEN_BUILD:
         pytest.skip(f"golden digests were recorded with numpy {GOLDEN_BUILD[0]} and "
                     f"{GOLDEN_BUILD[1]!r}; this build has numpy {here[0]} and {here[1]!r}")
-    assert {v: digest for v, (_, digest) in results.items()} == GOLDEN_STEPS
+    assert {v: digest for v, (_, digest) in results.items()} == golden
+
+
+def test_a_seeded_taped_step_gives_the_golden_bytes(pool):
+    _expect_golden(pool, _step_digest, GOLDEN_STEPS)
+
+
+def test_the_gradient_check_gives_the_golden_rows(pool):
+    _expect_golden(pool, _report_digest, GOLDEN_REPORTS)
+
+
+def test_a_seeded_training_run_gives_the_golden_bytes(pool):
+    _expect_golden(pool, _train_digest, GOLDEN_TRAINS)

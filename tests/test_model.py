@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from actionseg.autodiff import Tape, Variable
 from actionseg.errors import ConfigError, ContractError, LoadError, ShapeError
+from actionseg.layers import Conv1DParams, DenseParams, LSTMParams
 from actionseg.model import (VARIANTS, ModelConfig, build, describe, format_describe,
                              load_checkpoint, save_checkpoint)
 from memory_helpers import TracedMemory
@@ -255,18 +256,29 @@ def test_config_validation():
             toy_config(**{field: value})
 
 
-def test_stage_swap_replaces_one_parameter_of_the_same_shape():
+def test_parameter_blocks_reject_a_wrongly_shaped_field():
     model = build(toy_config("high"))
+    kinds = {type(block) for stage in model.table for block in stage.blocks.values()}
+    assert kinds == {Conv1DParams, LSTMParams, DenseParams}
     for stage in model.table:
         before = stage.params()
-        for name, var in before:
-            for shape in (var.shape[::-1] + (1,), var.shape[1:] or (var.shape[0] + 1,)):
-                with pytest.raises(ShapeError, match=name):
-                    stage.swap(name, Variable(np.zeros(shape)))
-            probe = Variable(var.value)
-            swapped = stage.swap(name, probe).params()
-            assert [n for n, _ in swapped] == [n for n, _ in before]
-            assert all(v is (probe if n == name else w) for (n, v), (_, w) in zip(swapped, before))
+        for prefix, block in stage.blocks.items():
+            values = {f.name: getattr(block, f.name) for f in dataclasses.fields(block)}
+            for field, var in values.items():
+                name = f"{prefix}.{field}"
+                # an LSTM block has 12 fields; its error names the one at fault
+                match = rf"\b{field}\b" if isinstance(block, LSTMParams) else None
+                for shape in (var.shape[::-1] + (1,), var.shape[1:] or (var.shape[0] + 1,)):
+                    wrong = Variable(np.zeros(shape))
+                    with pytest.raises(ShapeError, match=match):
+                        type(block)(**{**values, field: wrong})
+                    with pytest.raises(ShapeError, match=match):
+                        dataclasses.replace(block, **{field: wrong})
+                probe = Variable(var.value)
+                copy = dataclasses.replace(block, **{field: probe})
+                swapped = dataclasses.replace(stage, blocks={**stage.blocks, prefix: copy}).params()
+                assert [n for n, _ in swapped] == [n for n, _ in before]
+                assert all(v is (probe if n == name else w) for (n, v), (_, w) in zip(swapped, before))
         assert stage.params() == before
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 from types import MappingProxyType
 
@@ -10,7 +11,7 @@ from actionseg.autodiff import Tape, Variable, finite_diff_check
 from actionseg.data import SynthConfig, synth_generate
 from actionseg.errors import ContractError
 from actionseg.layers import Conv1DParams, DenseParams, LSTMParams, softmax_time
-from actionseg.model import VARIANTS, ModelConfig, Stage, build
+from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.tensor import Tensor
 from actionseg.train import (AdamState, TrainingDiverged, adam_step, cross_entropy_loss,
                              finite_difference_report, predict, train)
@@ -325,19 +326,44 @@ def test_finite_difference_report_never_touches_the_models_variables(monkeypatch
 def test_finite_difference_report_leaves_no_gradient_on_its_shadow(monkeypatch):
     model = build(ModelConfig(input_dim=2, num_classes=2, variant="full", k=1, conv_len=2,
                               hidden=2, dropout_conv=0.0, dropout_lstm=0.0, seed=8))
-    real = Stage.shadow
-    shadows = []
+    tensors = {id(p.value) for p in model.params.values()}
+    ours = {id(p) for p in model.params.values()}
+    real = train_mod.finite_diff_check
+    shadow = []
 
-    def recording(stage):
-        shadows.append(real(stage))
-        return shadows[-1]
+    def spy(f, x, eps=1e-5):
+        # before the first check the only variables over the model's tensors
+        # are the model's own and the report's shadow of them
+        if not shadow:
+            shadow.extend(obj for obj in gc.get_objects() if isinstance(obj, Variable)
+                          and id(obj.value) in tensors and id(obj) not in ours)
+        return real(f, x, eps)
 
-    monkeypatch.setattr(Stage, "shadow", recording)
+    monkeypatch.setattr(train_mod, "finite_diff_check", spy)
     rows = finite_difference_report(model, RNG.normal(size=(4, 2)), [0, 1, 0, 1])
     assert len(rows) == len(model.params)
-    assert len(shadows) == len(model.table)
-    held = [name for stage in shadows for name, var in stage.params() if var._grad is not None]
-    assert not held, f"{held} hold a gradient after the report"
+    assert len(shadow) == len(model.params)
+    held = [var for var in shadow if var._grad is not None]
+    assert not held, f"{len(held)} shadow variables hold a gradient after the report"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_adam_keeps_every_moment_and_parameter_in_c_order(variant):
+    # the plain convolution's kernel gradient is a transposed view; moments
+    # in its layout made every Adam pass strided and each update a copy
+    model = tiny_model(variant)
+    sample = tiny_dataset().split("train")[0]
+    with Tape() as tape:
+        loss = cross_entropy_loss(model.forward(sample.features, training=True), sample.labels)
+    tape.backward(loss)
+    params = list(model.params.values())
+    grads = [p._grad for p in params]
+    state = AdamState()
+    for _ in range(2):
+        adam_step(params, grads, state)
+    for name, p in model.params.items():
+        assert state.m[p].flags.c_contiguous and state.v[p].flags.c_contiguous, name
+        assert p.value.data.flags.c_contiguous, name
 
 
 def test_divergence_names_the_first_non_finite_gradient_block(monkeypatch):
