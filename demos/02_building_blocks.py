@@ -28,8 +28,11 @@ print("[-1, 0, 2] ->", out.value.data.ravel().tolist(), "(all outputs in [0, 1))
 
 print()
 print("== pooling and upsampling are exact inverses in that order ==")
+# a decoder layer upsamples inside its convolution; identity kernels of
+# width 1 and zero bias leave the upsampling alone
+identity = L.Conv1DParams(Variable(np.eye(2)[:, :, None]), Variable(np.zeros(2)))
 x = Variable(np.arange(6, dtype=float).reshape(3, 2))
-up = L.upsample_repeat(x)
+up = L.upsample_conv1d_same(x, identity)
 back = L.max_pool_time(up)
 print("x          ", x.value.tolist())
 print("upsampled  ", up.value.tolist())
@@ -42,11 +45,13 @@ for g in ("i", "f", "o", "c"):
     fields[f"W_x{g}"] = Variable([[0.5]])
     fields[f"W_h{g}"] = Variable([[0.5]])
     fields[f"b_{g}"] = Variable([0.0])
-h = L.lstm_forward(Variable([[1.0]]), L.LSTMParams(**fields))
+unit = L.LSTMParams(**fields)
+# one frame: each direction of the Bi-LSTM takes the same single step
+h = L.bilstm(Variable([[1.0]]), unit, unit)
 sig = 1 / (1 + math.exp(-0.5))
 print("all weights 0.5, x=1:")
 print("  gates i=f=o =", round(sig, 6), " candidate =", round(math.tanh(0.5), 6))
-print("  h_1 from the unit:", h.value.item())
+print("  h_1 from each direction:", h.value.tolist()[0])
 print("  h_1 by hand:      ", sig * math.tanh(sig * math.tanh(0.5)))
 
 print()

@@ -10,21 +10,21 @@ trims its padded output.
 The graph is built as it runs, and its record is kept apart from the
 values. An operation returns a :class:`Variable` that owns its value; while
 a :class:`Tape` is active it also gets a node (``Variable.node``), which
-holds the backward rule, the parents' nodes and the gradient, and the
-operation appends that node to the tape's ordered record. Each rule
-captures its parents' nodes and only the arrays it reads. So the tape keeps
-rules, parent nodes and gradients, and no value: an op output lives as long
-as the caller holds it or a rule reads it, and no longer.
+holds the backward rule and the gradient, and the operation appends that
+node to the tape's ordered record. Each rule captures its parents' nodes
+and only the arrays it reads. So the tape keeps rules and gradients, and no
+value: an op output lives as long as the caller holds it or a rule reads
+it, and no longer.
 
 ``backward`` replays the record in reverse creation order, which is a valid
 reverse topological order because a node is always created after its
 parents. Gradients accumulate additively when a node feeds several
 consumers, and the fixed replay order makes two identical runs produce
 bit-identical gradients. Backward consumes the graph as it goes: each node
-leaves the record and drops its rule and its parents before its rule runs,
-so what only that rule read is freed right after it, and a layer's rule may
-work in its forward buffers. What stays are the leaf gradients and the
-nodes of the variables the caller holds, each with its gradient.
+leaves the record and drops its rule before the rule runs, so what only
+that rule read is freed right after it, and a layer's rule may work in its
+forward buffers. What stays are the leaf gradients and the nodes of the
+variables the caller holds, each with its gradient.
 
 With no tape active, the same operations just compute values and record
 nothing, which is how inference runs without retaining a graph. The stack of
@@ -53,33 +53,30 @@ _TAPES = _TapeStack()
 
 
 class Node:
-    """The graph record of one variable: its backward rule, its parents' nodes and its gradient.
+    """The graph record of one variable: its backward rule and its gradient.
 
     A node holds no value. :func:`record` makes the node of a taped op
     output; a leaf, or an output made with no tape active, gets one on first
     use (:func:`node_of`).
     """
 
-    __slots__ = ("_backward", "parents", "_grad")
+    __slots__ = ("_backward", "_grad")
 
-    def __init__(self, backward: Callable[[np.ndarray], None] | None = None,
-                 parents: tuple["Node", ...] = ()):
+    def __init__(self, backward: Callable[[np.ndarray], None] | None = None):
         self._backward = backward
-        self.parents = parents
         self._grad: np.ndarray | None = None
 
 
 class Variable:
     """A value, and while it is in a graph, the :class:`Node` that records it there.
 
-    The variable owns its value; the node holds the backward rule, the
-    parents' nodes and the accumulated gradient, which ``_backward``,
-    ``parents``, ``_grad`` and ``grad`` read through. The tape holds nodes
-    and a rule holds its parents' nodes, so neither keeps a value alive: an
-    op output's value lives as long as the caller holds the variable or a
-    rule reads the array.
+    The variable owns its value; the node holds the backward rule and the
+    accumulated gradient, which ``_backward``, ``_grad`` and ``grad`` read
+    through. The tape holds nodes and a rule holds its parents' nodes, so
+    neither keeps a value alive: an op output's value lives as long as the
+    caller holds the variable or a rule reads the array.
 
-    Leaf variables (``parents == ()``) carry data into the graph; mark them
+    Leaf variables (no backward rule) carry data into the graph; mark them
     ``trainable`` to have :meth:`Tape.backward` accumulate their gradients.
     A node whose graph backward has consumed is a leaf too: fed to a new
     graph, it is a constant.
@@ -96,10 +93,6 @@ class Variable:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    @property
-    def parents(self) -> tuple[Node, ...]:
-        return () if self.node is None else self.node.parents
 
     @property
     def _backward(self) -> Callable[[np.ndarray], None] | None:
@@ -120,7 +113,7 @@ class Variable:
     @property
     def grad(self) -> Tensor:
         if self._grad is None:
-            return Tensor.zeros(self.value.shape)
+            return Tensor._wrap(np.zeros(self.value.shape))
         return Tensor._wrap(self._grad.copy())
 
     def zero_grad(self) -> None:
@@ -151,12 +144,11 @@ class Tape:
         a gradient reads zeros through ``grad`` (a disconnected variable is not
         an error).
 
-        The record holds nodes: rules, parent nodes and gradients, no value.
-        Backward consumes it: it pops each node and clears its rule and
-        ``parents`` before running the rule, holding no reference to the node
-        meanwhile. So a rule runs once, and an array a rule read, or an
-        intermediate gradient, is freed once the last rule that reads it has
-        run. Afterwards ``ops`` is empty, leaf gradients stay accumulated on
+        The record holds nodes: rules and gradients, no value. Backward
+        consumes it: it pops each node and clears its rule before running
+        it, holding no reference to the node meanwhile. So a rule runs once,
+        and an array a rule read, or an intermediate gradient, is freed once
+        the last rule that reads it has run. Afterwards ``ops`` is empty, leaf gradients stay accumulated on
         the variables until ``zero_grad``, and a variable the caller still
         holds (the loss, say) keeps its value and its own gradient.
         """
@@ -167,7 +159,7 @@ class Tape:
         while ops:
             node = ops.pop()
             rule, g = node._backward, node._grad
-            node._backward, node.parents = None, ()
+            node._backward = None
             del node
             if rule is not None and g is not None:
                 rule(g)
@@ -194,14 +186,14 @@ def node_of(v: Variable) -> Node:
     return node
 
 
-def record(out: Variable, parents: tuple[Variable, ...], backward) -> Variable:
-    """Give ``out`` a node with ``backward`` and the parents' nodes, and append it to the active tape.
+def record(out: Variable, backward) -> Variable:
+    """Give ``out`` a node with ``backward``, and append it to the active tape.
 
     ``backward`` is to capture its parents' nodes (:func:`node_of`) and the
     arrays it reads, not the variables, so that it keeps no value it does
     not read.
     """
-    node = out.node = Node(backward, tuple(map(node_of, parents)))
+    node = out.node = Node(backward)
     _TAPES.tapes[-1].ops.append(node)
     return out
 
@@ -232,7 +224,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Variable:
             full = np.zeros(shape, dtype=np.float64)
             full[idx] = g
             _accum(src, full)
-        record(out, (a,), bw)
+        record(out, bw)
     return out
 
 

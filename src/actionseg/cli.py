@@ -243,7 +243,10 @@ def parse_synth_config(path) -> SynthConfig:
 
 def _out_dir(arg) -> Path:
     out = Path(arg)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"{out}: cannot make output directory: {exc.strerror}") from exc
     return out
 
 

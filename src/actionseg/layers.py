@@ -1,5 +1,11 @@
 """Building blocks of the segmentation network, each with forward and backward rules.
 
+The module holds the operations that the network's stages run
+(:mod:`actionseg.model`), and no other. A decoder layer upsamples by
+repeating each input row twice; that repeat runs inside the layer's
+convolution or Bi-LSTM, :func:`upsample_conv1d_same` or
+:func:`upsample_bilstm`, which never build the repeated input.
+
 All operations act on (frames x channels) matrices with time as the leading
 axis, take :class:`~actionseg.autodiff.Variable` inputs (plain tensors are
 wrapped as constants), and register a hand-derived backward rule on the
@@ -10,7 +16,7 @@ differences in the test suite; that check is the master numerical invariant
 of the project.
 
 Each loop is written once: both convolutions run on :func:`_convolution`
-and all LSTM ops on :func:`_recurrence`. The convolution core has two
+and both Bi-LSTMs on :func:`_recurrence`. The convolution core has two
 algorithms, one GEMM per input offset for short inputs and short kernels,
 and overlap-save correlation in the frequency domain for long ones;
 :func:`_dft_length` picks one per call from the shapes, by a count of
@@ -49,8 +55,6 @@ __all__ = [
     "upsample_conv1d_same",
     "norm_relu",
     "max_pool_time",
-    "upsample_repeat",
-    "lstm_forward",
     "bilstm",
     "upsample_bilstm",
     "softmax_time",
@@ -231,11 +235,13 @@ def conv1d_same(x, p: Conv1DParams) -> Variable:
 
 
 def upsample_conv1d_same(x, p: Conv1DParams) -> Variable:
-    """``conv1d_same(upsample_repeat(x), p)``, computed at the input rate.
+    """``conv1d_same`` of ``x`` with each input row repeated twice, computed at the input rate.
 
-    Output frames 2m and 2m+1 read only input frames m+d, so the taps that
-    land on the same input frame are summed first, into
-    ``p.merged_kernels()``: the two-phase case of :func:`_convolution`.
+    The output has 2S frames for the S rows of ``x``; frames 2m and 2m+1 of
+    the repeated input are both row m. Output frames 2m and 2m+1 read only
+    input frames m+d, so the taps that land on the same input frame are
+    summed first, into ``p.merged_kernels()``: the two-phase case of
+    :func:`_convolution`.
     Width 30 takes 16 GEMMs on S rows instead of 30 on 2S rows, and the
     repeated input is never built.
     """
@@ -245,7 +251,7 @@ def upsample_conv1d_same(x, p: Conv1DParams) -> Variable:
 def _wants_grad(x: Variable) -> bool:
     # a leaf that is not trainable reports no gradient (see Variable), so an
     # op skips the GEMMs of its input gradient
-    return x.trainable or bool(x.parents)
+    return x.trainable or x._backward is not None
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +345,7 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
             ad._accum(bias, g.sum(axis=0))
             if wants_dx:
                 ad._accum(src, dpadded[left:left + s_len])
-        record(out, (x, p.kernels, p.bias), bw)
+        record(out, bw)
     return out
 
 
@@ -604,7 +610,7 @@ def norm_relu(x) -> Variable:
             # r > 0 exactly where x > 0, NaN and -0.0 included, so the
             # rule keeps r alone and not the input
             ad._accum(src, dr * (r > 0.0))
-        record(out, (x,), bw)
+        record(out, bw)
     return out
 
 
@@ -637,24 +643,7 @@ def max_pool_time(x) -> Variable:
             np.copyto(dx[0::2], g, where=keep)
             np.copyto(dx[1::2], g, where=~keep)
             ad._accum(src, dx)
-        record(out, (x,), bw)
-    return out
-
-
-def upsample_repeat(x) -> Variable:
-    """Double the time axis by repeating each frame twice."""
-    x = as_variable(x)
-    xd = x.value.data
-    if xd.ndim != 2 or xd.shape[0] < 1:
-        raise ContractError(f"upsample_repeat needs a non-empty (frames, channels) input, got {x.value.shape}")
-    t_len, channels = xd.shape
-    out = Variable(Tensor._wrap(np.repeat(xd, 2, axis=0)))
-
-    if taping():
-        src = node_of(x)
-        def bw(g):
-            ad._accum(src, g.reshape(t_len, 2, channels).sum(axis=1))
-        record(out, (x,), bw)
+        record(out, bw)
     return out
 
 
@@ -666,12 +655,12 @@ def _steps(a: np.ndarray, d: int) -> np.ndarray:
 def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Variable:
     """One LSTM per direction over the frames, all directions in one loop; returns (T, n*H).
 
-    ``units[0]`` steps through the frames in order and ``units[1]``, if
-    given, in reverse; the output holds each direction's hidden states in
-    frame order, side by side. With ``upsample`` the frames are the input
-    rows each repeated twice, but the input projection x @ W_x.T + b is
-    computed on the un-repeated rows. Every direction starts from zero
-    hidden and cell states.
+    ``units[0]`` steps through the frames in order and ``units[1]`` in
+    reverse; the output holds each direction's hidden states in frame
+    order, side by side. With ``upsample`` the frames are the input rows
+    each repeated twice, but the input projection x @ W_x.T + b is computed
+    on the un-repeated rows. Every direction starts from zero hidden and
+    cell states.
 
     There is one step loop; what differs is the rows it walks over. Either
     way the steps write the hidden states into one (T+2, n, H) buffer ``hs``
@@ -773,8 +762,7 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
 
     # bind the block variables' nodes now: the params objects may be
     # re-pointed at other variables by the time backward runs
-    block_vars = [var for p in units for _, var in p.blocks()]
-    block_nodes = list(map(node_of, block_vars))
+    block_nodes = [node_of(var) for p in units for _, var in p.blocks()]
     src = node_of(x) if _wants_grad(x) else None
     def bw(g):
         nonlocal cs, hs
@@ -803,7 +791,7 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
                     dx += _steps(np.matmul(a, w.wx, x_steps), d)
         if src is not None:
             ad._accum(src, dx)
-    record(out, (x,) + tuple(block_vars), bw)
+    record(out, bw)
     return out
 
 
@@ -894,42 +882,31 @@ def _gate_factors(gates: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.nda
     return f_keep, tc
 
 
-def lstm_forward(x, p: LSTMParams) -> Variable:
-    """Run one recurrent unit over the sequence; returns the hidden states (T, H).
-
-    Per step: i, f, o are sigmoid gates, the candidate g is a tanh, the cell
-    is c_t = f_t*c_{t-1} + i_t*g_t and the output is h_t = o_t*tanh(c_t),
-    from zero initial states h_0 and c_0. This is the one-direction case of
-    :func:`_recurrence`, the loop that :func:`bilstm` runs over two
-    directions; its backward pass is described there and in
-    :func:`_gate_grads`. An input that is a leaf and not trainable gets no
-    gradient.
-    """
-    return _recurrence(x, (p,))
-
-
 def bilstm(x, fwd: LSTMParams, bwd: LSTMParams) -> Variable:
     """Two recurrent units, one per time direction, side by side: (T, 2H).
 
-    ``fwd`` reads the frames in order and ``bwd`` in reverse, by index; each
-    direction's hidden states are written in frame order. Both directions
-    run in one loop, whose steps serve the two at once (:func:`_recurrence`),
-    so the result equals two :func:`lstm_forward` calls, the second on the
-    reversed frames and re-reversed, concatenated.
+    Per step of a unit: i, f, o are sigmoid gates, the candidate g is a
+    tanh, the cell is c_t = f_t*c_{t-1} + i_t*g_t and the output is h_t =
+    o_t*tanh(c_t), from zero initial states h_0 and c_0. ``fwd`` reads the
+    frames in order and ``bwd`` in reverse, by index; each direction's
+    hidden states are written in frame order, ``fwd``'s in the first H
+    columns. Both directions run in one loop, whose steps serve the two at
+    once (:func:`_recurrence`); the backward pass is described there and in
+    :func:`_gate_grads`. An input that is a leaf and not trainable gets no
+    gradient.
     """
     return _recurrence(x, (fwd, bwd))
 
 
 def upsample_bilstm(x, fwd: LSTMParams, bwd: LSTMParams) -> Variable:
-    """``bilstm(upsample_repeat(x), fwd, bwd)``, with the input projection at the input rate.
+    """``bilstm`` of ``x`` with each input row repeated twice, the input projection at the input rate.
 
     Frames 2m and 2m+1 of the repeated input are both row m of ``x``, so the
     input projection x @ W_x.T + b is computed on the S rows of ``x`` and
     repeated, and the repeated input is never built. The recurrence runs
     over all 2S frames. The backward pass sums the row pairs of the gate
-    gradient before the W_x and input-gradient GEMMs, as the backward pass
-    of :func:`upsample_repeat` sums the gradient's row pairs. This mirrors
-    :func:`upsample_conv1d_same`.
+    gradient before the W_x and input-gradient GEMMs, since each input row
+    fed two frames. This mirrors :func:`upsample_conv1d_same`.
     """
     return _recurrence(x, (fwd, bwd), upsample=True)
 
@@ -951,7 +928,7 @@ def softmax_time(z) -> Variable:
         src = node_of(z)
         def bw(g):
             ad._accum(src, (g - (g * y).sum(axis=1, keepdims=True)) * y)
-        record(out, (z,), bw)
+        record(out, bw)
     return out
 
 
@@ -973,7 +950,7 @@ def time_softmax_dense(d, p: DenseParams) -> Variable:
             ad._accum(src, g @ w)
             ad._accum(weight, g.T @ dd)
             ad._accum(bias, g.sum(axis=0))
-        record(logits, (d, p.W, p.b), bw)
+        record(logits, bw)
     return softmax_time(logits)
 
 
@@ -1002,7 +979,7 @@ def _dropout_impl(x, rate: float, rng, training: bool, spatial: bool) -> Variabl
             dx = np.multiply(g, keep)
             dx *= scale
             ad._accum(src, dx)
-        record(out, (x,), bw)
+        record(out, bw)
     return out
 
 

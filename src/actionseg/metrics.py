@@ -50,8 +50,9 @@ def frame_accuracy(pred, gt) -> float:
     """Percentage of frames whose predicted class matches the reference."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
-    if pred.shape != gt.shape or pred.ndim != 1:
-        raise ContractError(f"label sequences must have equal length, got {pred.shape} vs {gt.shape}")
+    if pred.shape != gt.shape or pred.ndim != 1 or pred.size == 0:
+        raise ContractError(f"label sequences must be non-empty and of equal length, "
+                            f"got {pred.shape} vs {gt.shape}")
     return 100.0 * float(np.count_nonzero(pred == gt)) / pred.size
 
 
@@ -211,16 +212,18 @@ def evaluate(preds, gts, thresholds=(10, 25, 50), background: int | None = None,
              ids=None) -> MetricsReport:
     """Score a corpus of predictions against references.
 
-    ``preds`` and ``gts`` are parallel lists of per-frame label sequences of
-    matching lengths. ``background`` marks the class excluded from segmental
-    scoring; its frames still count toward accuracy.
+    ``preds`` and ``gts`` are parallel lists of non-empty per-frame label
+    sequences of matching lengths, and ``ids``, if given, names each pair.
+    ``background`` marks the class excluded from segmental scoring; its
+    frames still count toward accuracy.
     """
     preds = list(preds)
     gts = list(gts)
     if not preds or len(preds) != len(gts):
         raise ContractError(f"corpus mismatch: {len(preds)} predictions vs {len(gts)} references")
-    if ids is None:
-        ids = [str(i) for i in range(len(preds))]
+    ids = [str(i) for i in range(len(preds))] if ids is None else list(ids)
+    if len(ids) != len(preds):
+        raise ContractError(f"corpus mismatch: {len(ids)} ids for {len(preds)} predictions")
 
     equal = 0
     total = 0
@@ -242,7 +245,7 @@ def evaluate(preds, gts, thresholds=(10, 25, 50), background: int | None = None,
 
     n = len(per_sequence)
     return MetricsReport(
-        accuracy=100.0 * equal / total if total else 100.0,
+        accuracy=100.0 * equal / total,
         edit=sum(s.edit for s in per_sequence) / n,
         f1={k: sum(s.f1[k] for s in per_sequence) / n for k in thresholds},
         per_sequence=per_sequence,

@@ -12,8 +12,6 @@ just compute values, so they serve inference as well as training.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ShapeError
@@ -50,10 +48,6 @@ class Tensor:
         out = object.__new__(cls)
         out.data = arr
         return out
-
-    @classmethod
-    def zeros(cls, shape: Sequence[int] | int) -> "Tensor":
-        return cls._wrap(np.zeros(shape, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -97,7 +97,7 @@ def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
             d = np.zeros(shape, dtype=np.float64)
             d[idx, lbl] = -float(g) / (n * guarded)
             _accum(src, d)
-        record(out, (yhat,), bw)
+        record(out, bw)
     return out
 
 

@@ -20,9 +20,9 @@ def dot(a, b) -> Variable:
     if taping():
         def bw(g):
             for v, other in ((a, b_data), (b, a_data)):
-                if v.trainable or v.parents:
+                if v.trainable or v._backward is not None:
                     _accum(v, g * other)
-        record(out, (a, b), bw)
+        record(out, bw)
     return out
 
 
@@ -37,5 +37,18 @@ def embed(v, base: np.ndarray, index) -> Variable:
     arr[index] = v.value.data
     out = Variable(Tensor._wrap(arr))
     if taping():
-        record(out, (v,), lambda g: _accum(v, g[index].copy()))
+        record(out, lambda g: _accum(v, g[index].copy()))
+    return out
+
+
+def repeat_frames(x) -> Variable:
+    """Each row of ``x`` twice in a row: the upsampling that the decoder's ops fuse.
+
+    The gradient of an input row is the sum of the gradients of its two copies.
+    """
+    x = as_variable(x)
+    xd = x.value.data
+    out = Variable(Tensor._wrap(np.repeat(xd, 2, axis=0)))
+    if taping():
+        record(out, lambda g: _accum(x, g.reshape(len(xd), 2, -1).sum(axis=1)))
     return out

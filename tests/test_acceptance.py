@@ -17,8 +17,8 @@ import pytest
 from actionseg.cli import main
 from actionseg.data import SynthConfig, frame_local_ceiling, save_dataset, synth_generate
 from actionseg.errors import ContractError, LoadError, ShapeError
-from actionseg.layers import (LSTMParams, lstm_forward, max_pool_time, norm_relu,
-                              softmax_time, upsample_repeat)
+from actionseg.layers import (Conv1DParams, LSTMParams, bilstm, max_pool_time, norm_relu,
+                              softmax_time, upsample_conv1d_same)
 from actionseg.autodiff import Variable
 from actionseg.metrics import Segment, edit_score, levenshtein, overlap_f1
 from actionseg.model import VARIANTS, ModelConfig, build
@@ -77,16 +77,18 @@ def test_criterion_1_gradient_fidelity(monkeypatch):
 def test_criterion_2_equation_level_suite():
     with _report(2, "equation-level unit suite"):
         # hand-evaluated recurrent step: 0.5 on every weight, zero biases,
-        # unit input, zero initial state
+        # unit input, zero initial state; one frame, so both directions take
+        # the same single step
         fields = {}
         for g in ("i", "f", "o", "c"):
             fields[f"W_x{g}"] = Variable([[0.5]])
             fields[f"W_h{g}"] = Variable([[0.5]])
             fields[f"b_{g}"] = Variable([0.0])
-        h1 = lstm_forward(Variable([[1.0]]), LSTMParams(**fields)).value.item()
+        unit = LSTMParams(**fields)
+        h1 = bilstm(Variable([[1.0]]), unit, unit).value.data
         sig = 1.0 / (1.0 + math.exp(-0.5))
         oracle = sig * math.tanh(sig * math.tanh(0.5))
-        assert abs(h1 - oracle) <= 1e-6
+        assert h1.shape == (1, 2) and np.max(np.abs(h1 - oracle)) <= 1e-6
 
         # normalized rectifier bounds and maximum
         rng = np.random.default_rng(3)
@@ -103,10 +105,13 @@ def test_criterion_2_equation_level_suite():
         rows = softmax_time(Variable(z)).value.data.sum(axis=1)
         assert np.max(np.abs(rows - 1.0)) <= 1e-12
 
-        # pooling / upsampling round trip is exact
+        # pooling / upsampling round trip is exact: with width-1 identity
+        # kernels and zero bias the upsampling convolution only repeats rows
         for _ in range(20):
             x = rng.normal(size=(rng.integers(1, 9), rng.integers(1, 5)))
-            back = max_pool_time(upsample_repeat(Variable(x))).value.data
+            c = x.shape[1]
+            identity = Conv1DParams(Variable(np.eye(c)[:, :, None]), Variable(np.zeros(c)))
+            back = max_pool_time(upsample_conv1d_same(Variable(x), identity)).value.data
             assert np.array_equal(back, x)
 
 

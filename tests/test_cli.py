@@ -223,6 +223,25 @@ def test_a_checkpoint_that_is_a_directory_exits_2(tmp_path, command, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "predict"])
+def test_an_out_path_that_is_or_lies_under_a_file_exits_2_naming_it(workdir, command, under, capsys):
+    taken = workdir / "taken"
+    taken.write_text("")
+    out = taken / "run" if under else taken
+    ckpt = workdir / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=5, num_classes=4, k=2, conv_len=3, hidden=8)), ckpt)
+    cfg = str(write_run_cfg(workdir, epochs=1))
+    argv = {"synth": ["synth", "--config", str(workdir / "synth.cfg")],
+            "train": ["train", "--config", cfg],
+            "eval": ["eval", "--config", cfg, "--checkpoint", str(ckpt)],
+            "predict": ["predict", "--checkpoint", str(ckpt),
+                        "--features", str(workdir / "ds" / "test_0000.features.txt")]}[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {out}: cannot make output directory" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_gradcheck_passes_on_small_config(capsys):
     rc = main(["gradcheck", "--variant", "full", "--depth", "1", "--frames", "4", "--dim", "2",
                "--classes", "2", "--conv-len", "2", "--hidden", "2",

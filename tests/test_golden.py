@@ -1,7 +1,10 @@
 """Golden digests: the bytes of seeded runs per variant.
 
-Three digests per variant, each pinned by sha256:
+Four digests per variant, each pinned by sha256:
 
+- one untaped ``model.forward`` at 2000 frames, d=64, w=30 and H=64: the
+  probabilities. That is the inference path: the convolutions in the
+  frequency domain and the recurrence that keeps no per-step history.
 - one taped training step with dropout on, at 1375 frames, d=64, w=30 and
   H=64: the probabilities and every parameter gradient, in table order. At
   that length the convolutions take the frequency-domain path and each
@@ -38,6 +41,12 @@ from worker_helpers import one_thread_pool
 
 # (numpy version, OpenBLAS configuration as the library reports it at run time)
 GOLDEN_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
+GOLDEN_FORWARDS = {
+    "full": "1b419c44137356691636b5455f9e7f38d4b5fe7403692d48180b5c56a8e8aeec",
+    "high": "c38ee0e7262cde2f0d8b83ccdeb75508fad79615c8b7ff40a8a8d19b3e18ab78",
+    "low": "1fd208eec9689294bcd3b46991f3e318a54440bfc693b4e2b71cba6106701e4d",
+    "conv_only": "94a9d29700bba45b7959e924958a06adbce40b65d95f5d4791ce0725fab319a5",
+}
 GOLDEN_STEPS = {
     "full": "8c6c50920cdc341a1446d09c62d8599dd8f176ea4d2b0ba489d10f063b11b168",
     "high": "ec5b53991138498a7e7c2624c1c5e1361e17ae7feecae1f6772f6fcbf38e6a29",
@@ -77,6 +86,15 @@ def _blas_build() -> tuple[str, str]:
                 config = get_config().decode()
                 break
     return np.__version__, config
+
+
+def _forward_digest(variant: str) -> tuple[tuple[str, str], str]:
+    """(this build, the digest of one seeded untaped forward of ``variant``)."""
+    model = build(ModelConfig(input_dim=64, num_classes=10, variant=variant, k=2, conv_len=30,
+                              hidden=64, seed=49))
+    x = np.random.default_rng(50).normal(size=(2000, 64))
+    probs = model.forward(x, training=False)
+    return _blas_build(), hashlib.sha256(probs.value.data.tobytes()).hexdigest()
 
 
 def _step_digest(variant: str) -> tuple[tuple[str, str], str]:
@@ -138,6 +156,10 @@ def _expect_golden(pool, digest, golden: dict[str, str]) -> None:
         pytest.skip(f"golden digests were recorded with numpy {GOLDEN_BUILD[0]} and "
                     f"{GOLDEN_BUILD[1]!r}; this build has numpy {here[0]} and {here[1]!r}")
     assert {v: digest for v, (_, digest) in results.items()} == golden
+
+
+def test_a_seeded_untaped_forward_gives_the_golden_bytes(pool):
+    _expect_golden(pool, _forward_digest, GOLDEN_FORWARDS)
 
 
 def test_a_seeded_taped_step_gives_the_golden_bytes(pool):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from actionseg import autodiff as ad
 from actionseg import layers as L
@@ -14,7 +15,7 @@ from actionseg.model import ModelConfig, build
 from actionseg.tensor import Tensor
 from actionseg.train import AdamState, adam_step
 from memory_helpers import TracedMemory
-from tape_helpers import dot, embed
+from tape_helpers import dot, embed, repeat_frames
 
 RNG = np.random.default_rng(20)
 
@@ -35,6 +36,12 @@ def lstm_params(hidden, in_dim, rng=None, scale=0.4, overrides=None):
         fields[f"b_{g}"] = Variable(rng.normal(size=hidden) * 0.1)
     fields.update(overrides or {})
     return L.LSTMParams(**fields)
+
+
+def identity_conv(channels):
+    """Width-1 kernels that copy each channel, zero bias: ``upsample_conv1d_same`` only repeats rows."""
+    return conv_params(channels, channels, 1, kernels=np.eye(channels)[:, :, None],
+                       bias=np.zeros(channels))
 
 
 def zero_lstm_params(hidden, in_dim, **bias_values):
@@ -268,7 +275,7 @@ def test_upsample_conv_equals_conv_of_the_repeated_input(s_len, channels, filter
     w = rng.normal(size=(2 * s_len, filters))
     results = []
     for op in (lambda v: L.upsample_conv1d_same(v, p),
-               lambda v: L.conv1d_same(L.upsample_repeat(v), p)):
+               lambda v: L.conv1d_same(repeat_frames(v), p)):
         x = Variable(x0, trainable=True)
         with ad.Tape() as tape:
             out = op(x)
@@ -304,7 +311,7 @@ def test_merged_kernels_follow_the_kernel_tensor():
 
     def matches_reference(params):
         got = L.upsample_conv1d_same(x, params).value.data
-        want = L.conv1d_same(L.upsample_repeat(x), params).value.data
+        want = L.conv1d_same(repeat_frames(x), params).value.data
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     first = p.merged_kernels()
@@ -400,40 +407,38 @@ def test_max_pool_odd_length_rejected():
 
 
 def test_upsample_examples():
-    out = L.upsample_repeat(Variable([[1.0, 2.0], [3.0, 4.0]]))
+    # with identity kernels the upsampling convolution is the upsampling alone
+    out = L.upsample_conv1d_same(Variable([[1.0, 2.0], [3.0, 4.0]]), identity_conv(2))
     assert out.value.tolist() == [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]
-    out = L.upsample_repeat(Variable([[7.0]]))
+    out = L.upsample_conv1d_same(Variable([[7.0]]), identity_conv(1))
     assert out.value.tolist() == [[7.0], [7.0]]
 
 
 def test_pool_upsample_round_trip_identity():
     for _ in range(10):
         x = RNG.normal(size=(RNG.integers(1, 7), RNG.integers(1, 5)))
-        back = L.max_pool_time(L.upsample_repeat(Variable(x))).value.data
+        up = L.upsample_conv1d_same(Variable(x), identity_conv(x.shape[1]))
+        back = L.max_pool_time(up).value.data
         assert np.array_equal(back, x)
 
 
 # recurrent unit
 
 
-def test_lstm_zero_parameters_give_zero_hidden_states():
-    p = zero_lstm_params(3, 2)
-    out = L.lstm_forward(Variable(RNG.normal(size=(5, 2))), p)
-    assert np.array_equal(out.value.data, np.zeros((5, 3)))
-
-
 def test_lstm_gate_saturation_oracle():
     # a pulse at frame 0 opens the input gate and writes a candidate of 1
     # into the cell; the closed input gate and the open forget gate then
-    # hold it, so every hidden state reads tanh(1) through the open output gate
+    # hold it, so every hidden state after the pulse reads tanh(1) through
+    # the open output gate. The backward direction meets the pulse last.
     p = zero_lstm_params(1, 1, i=-20.0, f=20.0, o=20.0)
     p.W_xi.value = Tensor([[40.0]])
     p.W_xc.value = Tensor([[20.0]])
     pulse = np.zeros((6, 1))
     pulse[0] = 1.0
-    out = L.lstm_forward(Variable(pulse), p)
-    sig20 = 1.0 / (1.0 + math.exp(-20.0))
-    assert np.allclose(out.value.data, math.tanh(1.0) * sig20, atol=1e-6)
+    out = L.bilstm(Variable(pulse), p, p).value.data
+    held = math.tanh(1.0) / (1.0 + math.exp(-20.0))
+    assert np.allclose(out[:, 0], held, atol=1e-6)
+    assert np.allclose(out[:, 1], [held, 0, 0, 0, 0, 0], atol=1e-6)
 
 
 def test_lstm_hand_computed_step():
@@ -441,17 +446,17 @@ def test_lstm_hand_computed_step():
     for name, var in p.blocks():
         if name.startswith("W"):
             var.value = Tensor([[0.5]])
-    out = L.lstm_forward(Variable([[1.0]]), p)
+    out = L.bilstm(Variable([[1.0]]), p, p)
     sig = 1.0 / (1.0 + math.exp(-0.5))
     c1 = sig * math.tanh(0.5)
     h1 = sig * math.tanh(c1)
-    assert abs(out.value.item() - h1) < 1e-12
+    assert np.max(np.abs(out.value.data - h1)) < 1e-12  # one step, so both directions
     assert abs(c1 - 0.2877) < 5e-4  # sanity on the hand arithmetic
 
 
 def test_lstm_shape_mismatch():
     with pytest.raises(ShapeError):
-        L.lstm_forward(Variable(np.ones((4, 3))), lstm_params(2, 2))
+        L.bilstm(Variable(np.ones((4, 3))), lstm_params(2, 2), lstm_params(2, 2))
 
 
 def test_bilstm_zero_params_and_width():
@@ -493,19 +498,59 @@ def _taped_bilstm(op, x0, fwd, bwd, w):
     return out.value.data, x._grad
 
 
-def _bilstm_composite(x0, fwd, bwd, w):
-    """:func:`_taped_bilstm` of ``bilstm``, from two ``lstm_forward`` runs joined in numpy.
+def _lstm_reference(x, p, g):
+    """One LSTM direction over the rows of ``x``, a step at a time in numpy.
 
-    ``bwd`` runs on the reversed frames; its output and input gradient are
-    reversed back.
+    Returns the hidden states (T, H) and, for the output gradient ``g``,
+    the gradients of ``x`` and of every block of ``p`` in field order, by
+    textbook backpropagation through time.
     """
-    runs = []
-    for p, order, cols in ((fwd, np.s_[:], np.s_[:fwd.hidden]), (bwd, np.s_[::-1], np.s_[fwd.hidden:])):
-        out, dx = _taped_bilstm(lambda v, f, b, p=p: L.lstm_forward(v, p), x0[order], fwd, bwd,
-                                w[order, cols])
-        runs.append((out[order], dx[order]))
-    (out_f, dx_f), (out_b, dx_b) = runs
-    return np.concatenate([out_f, out_b], axis=1), dx_f + dx_b
+    w = {name: var.value.data for name, var in p.blocks()}
+    t_len, hidden = len(x), p.hidden
+    h, c = np.zeros((t_len + 1, hidden)), np.zeros((t_len + 1, hidden))  # row t+1: after step t
+    gates = []
+    for t in range(t_len):
+        i, f, o, cand = (w[f"W_x{k}"] @ x[t] + w[f"W_h{k}"] @ h[t] + w[f"b_{k}"] for k in "ifoc")
+        i, f, o, cand = expit(i), expit(f), expit(o), np.tanh(cand)
+        c[t + 1] = f * c[t] + i * cand
+        h[t + 1] = o * np.tanh(c[t + 1])
+        gates.append((i, f, o, cand))
+    grads = {name: np.zeros_like(arr) for name, arr in w.items()}
+    dx = np.zeros_like(x)
+    dh, dc = np.zeros(hidden), np.zeros(hidden)
+    for t in reversed(range(t_len)):
+        i, f, o, cand = gates[t]
+        tc = np.tanh(c[t + 1])
+        dh = dh + g[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        pre = {"i": dc * cand * i * (1.0 - i), "f": dc * c[t] * f * (1.0 - f),
+               "o": dh * tc * o * (1.0 - o), "c": dc * i * (1.0 - cand * cand)}
+        dh = np.zeros(hidden)
+        for k, a in pre.items():
+            grads[f"W_x{k}"] += np.outer(a, x[t])
+            grads[f"W_h{k}"] += np.outer(a, h[t])
+            grads[f"b_{k}"] += a
+            dx[t] += w[f"W_x{k}"].T @ a
+            dh += w[f"W_h{k}"].T @ a
+        dc = dc * f
+    return h[1:], dx, [grads[name] for name in L.LSTM_FIELDS]
+
+
+def _bilstm_composite(x0, fwd, bwd, w):
+    """Output, input gradient and the 24 block gradients of dot(bilstm(x0, fwd, bwd), w).
+
+    Two :func:`_lstm_reference` runs joined in numpy: ``bwd`` runs on the
+    reversed frames, and its output and input gradient are reversed back.
+    """
+    out_f, dx_f, grads_f = _lstm_reference(x0, fwd, w[:, :fwd.hidden])
+    out_b, dx_b, grads_b = _lstm_reference(x0[::-1], bwd, w[::-1, fwd.hidden:])
+    return [np.concatenate([out_f, out_b[::-1]], axis=1), dx_f + dx_b[::-1], *grads_f, *grads_b]
+
+
+def _upsample_bilstm_composite(x0, fwd, bwd, w):
+    """:func:`_bilstm_composite` on each row of ``x0`` repeated twice; a row's gradient sums its copies'."""
+    out, dx, *grads = _bilstm_composite(np.repeat(x0, 2, axis=0), fwd, bwd, w)
+    return [out, dx[0::2] + dx[1::2], *grads]
 
 
 @given(s_len=st.integers(1, 12), channels=st.integers(1, 5), hidden=st.integers(1, 5),
@@ -518,17 +563,15 @@ def test_fused_bilstm_ops_equal_their_composites(s_len, channels, hidden, seed):
     fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
     blocks = [var for p in (fwd, bwd) for _, var in p.blocks()]
     pairs = [(s_len, L.bilstm, _bilstm_composite),
-             (2 * s_len, L.upsample_bilstm,
-              lambda *args: _taped_bilstm(lambda v, f, b: L.bilstm(L.upsample_repeat(v), f, b), *args))]
+             (2 * s_len, L.upsample_bilstm, _upsample_bilstm_composite)]
     for t_len, fused, composite in pairs:
         w = rng.normal(size=(t_len, 2 * hidden))
-        results = []
-        for run in (lambda: _taped_bilstm(fused, x0, fwd, bwd, w), lambda: composite(x0, fwd, bwd, w)):
-            results.append([*run()] + [var._grad for var in blocks])
-            for var in blocks:
-                var.zero_grad()
-        assert len(results[0]) == 26
-        for got, want in zip(*results):
+        fused_results = [*_taped_bilstm(fused, x0, fwd, bwd, w)] + [var._grad for var in blocks]
+        for var in blocks:
+            var.zero_grad()
+        composite_results = composite(x0, fwd, bwd, w)
+        assert len(fused_results) == len(composite_results) == 26
+        for got, want in zip(fused_results, composite_results):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (fused, got, want)
 
@@ -579,9 +622,9 @@ def test_upsample_bilstm_untaped_memory_stays_below_the_composite():
         out = L.upsample_bilstm(x, fwd, bwd)
     peak = mem.peak
     assert out.value.shape == (2 * s_len, 2 * hidden)
-    # bilstm(upsample_repeat(x)) computed as two lstm_forward passes, with
-    # reversed copies and a concatenation, peaks at 16.9 MB at these sizes
-    # (stacked weights included); the fused op must not need more
+    # a Bi-LSTM on the repeated input computed as two one-direction passes,
+    # with reversed copies and a concatenation, peaked at 16.9 MB at these
+    # sizes (stacked weights included); the fused op must not need more
     assert peak < 16.9e6, peak / 1e6
 
 
@@ -625,33 +668,32 @@ def test_upsample_bilstm_taped_step_holds_each_step_sized_array_once():
     assert mem.peak < 20.5e6, mem.peak / 1e6
 
 
-# (frames per input row, directions, op) of each LSTM op
-_LSTM_OPS = [(1, 1, lambda x, fwd, bwd: L.lstm_forward(x, fwd)), (1, 2, L.bilstm), (2, 2, L.upsample_bilstm)]
+# (frames per input row, op) of each LSTM op
+_LSTM_OPS = [(1, L.bilstm), (2, L.upsample_bilstm)]
 
 
 @given(s_len=st.integers(1, 300), channels=st.integers(1, 3), hidden=st.integers(1, 6),
        op=st.integers(0, len(_LSTM_OPS) - 1), seed=st.integers(0, 2 ** 32 - 1))
-@example(s_len=1, channels=1, hidden=1, op=2, seed=0)
-@example(s_len=64, channels=2, hidden=3, op=1, seed=1)
-@example(s_len=300, channels=3, hidden=6, op=2, seed=2)
+@example(s_len=1, channels=1, hidden=1, op=1, seed=0)
+@example(s_len=64, channels=2, hidden=3, op=0, seed=1)
+@example(s_len=300, channels=3, hidden=6, op=1, seed=2)
 def test_the_bptt_block_length_moves_no_gradient_bit(s_len, channels, hidden, op, seed):
-    repeat, n, run = _LSTM_OPS[op]
+    repeat, run = _LSTM_OPS[op]
     t_len = repeat * s_len
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(s_len, channels))
     fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
-    w = rng.normal(size=(t_len, n * hidden))
+    w = rng.normal(size=(t_len, 2 * hidden))
     blocks = [var for p in (fwd, bwd) for _, var in p.blocks()]
     results = []
     for block in (1, 3, 64, t_len):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(L, "_BPTT_BLOCK", block)
             out, dx = _taped_bilstm(run, x0, fwd, bwd, w)
-        results.append([out.tobytes(), dx.tobytes()]
-                       + [var._grad.tobytes() for var in blocks if var._grad is not None])
+        results.append([out.tobytes(), dx.tobytes()] + [var._grad.tobytes() for var in blocks])
         for var in blocks:
             var.zero_grad()
-    assert len(results[0]) == 2 + 12 * n
+    assert len(results[0]) == 2 + 24
     assert all(r == results[0] for r in results[1:])
 
 
@@ -679,7 +721,7 @@ def test_untaped_lstm_ops_give_the_taped_bytes(s_len, channels, hidden, seed):
     rng = np.random.default_rng(seed)
     x = Variable(rng.normal(size=(s_len, channels)))
     fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
-    for repeat, _, op in _LSTM_OPS:
+    for repeat, op in _LSTM_OPS:
         untaped = op(x, fwd, bwd).value.data
         with ad.Tape():
             taped = op(x, fwd, bwd).value.data
@@ -861,27 +903,7 @@ def test_pool_and_upsample_gradients_match_finite_differences():
     w2 = Variable(rng.normal(size=(16, 3)))
 
     assert _fd(lambda v: dot(L.max_pool_time(v), w), x0) <= 1e-5
-    assert _fd(lambda v: dot(L.upsample_repeat(v), w2), x0) <= 1e-6
-
-
-def test_lstm_gradients_match_finite_differences_every_block():
-    rng = np.random.default_rng(44)
-    x0 = rng.normal(size=(6, 2))
-    p = lstm_params(3, 2, np.random.default_rng(45))
-
-    def wrt_x(v):
-        out = L.lstm_forward(v, p)
-        return dot(out, out)
-    assert _fd(wrt_x, x0) <= 1e-5
-
-    xvar = Variable(x0)
-    for name, var in p.blocks():
-        def wrt_block(v, name=name):
-            fields = dict(p.blocks())
-            fields[name] = v
-            out = L.lstm_forward(xvar, L.LSTMParams(**fields))
-            return dot(out, out)
-        assert _fd(wrt_block, var.value.data) <= 1e-5, name
+    assert _fd(lambda v: dot(L.upsample_conv1d_same(v, identity_conv(3)), w2), x0) <= 1e-6
 
 
 def test_bilstm_gradient_matches_finite_differences():

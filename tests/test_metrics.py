@@ -26,6 +26,11 @@ def test_frame_accuracy_length_mismatch():
         frame_accuracy([0, 1], [0, 1, 2])
 
 
+def test_frame_accuracy_of_empty_sequences_rejected():
+    with pytest.raises(ContractError):
+        frame_accuracy([], [])
+
+
 def test_segments_run_length_oracle():
     a, b = 0, 1
     assert segments_from_labels([a, a, b, b, b, a]) == [seg(a, 0, 2), seg(b, 2, 5), seg(a, 5, 6)]
@@ -181,6 +186,15 @@ def test_evaluate_pools_accuracy_over_frames():
 def test_evaluate_empty_corpus_rejected():
     with pytest.raises(ContractError):
         evaluate([], [])
+
+
+def test_evaluate_rejects_ids_of_another_length():
+    # zip would drop the second sequence and report acc 100.0
+    pred, gt = [[0, 0, 1], [1, 1, 1]], [[0, 0, 1], [0, 0, 0]]
+    for ids in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ContractError):
+            evaluate(pred, gt, ids=ids)
+    assert evaluate(pred, gt, ids=["a", "b"]).accuracy == 50.0
 
 
 def test_evaluate_kv_keys():

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from actionseg import layers
 from actionseg.autodiff import Tape, Variable
 from actionseg.errors import ConfigError, ContractError, LoadError, ShapeError
 from actionseg.layers import Conv1DParams, DenseParams, LSTMParams
 from actionseg.model import (VARIANTS, ModelConfig, build, describe, format_describe,
                              load_checkpoint, save_checkpoint)
+from actionseg.train import cross_entropy_loss
 from memory_helpers import TracedMemory
 
 RNG = np.random.default_rng(60)
@@ -193,6 +195,28 @@ def test_variants_share_encoder_outputs_given_same_seed():
         outputs.append(cur.value.data)
     for out in outputs[1:]:
         assert np.array_equal(out, outputs[0])
+
+
+def test_every_exported_layer_op_runs_in_some_variant(monkeypatch):
+    # an op that no stage calls, in a taped step with dropout or an untaped
+    # forward of any variant, is code the network does not run
+    ops = [name for name in layers.__all__ if not isinstance(getattr(layers, name), type)]
+    called = set()
+    for name in ops:
+        def spy(*args, _name=name, _op=getattr(layers, name), **kwargs):
+            called.add(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(layers, name, spy)
+    x = np.random.default_rng(7).normal(size=(9, 3))
+    for variant in VARIANTS:
+        model = build(ModelConfig(input_dim=3, num_classes=2, variant=variant, k=2, conv_len=3,
+                                  hidden=2, dropout_conv=0.2, dropout_lstm=0.2, seed=5))
+        with Tape() as tape:
+            probs = model.forward(x, training=True, rng=np.random.default_rng(6))
+            loss = cross_entropy_loss(probs, np.arange(9) % 2)
+        tape.backward(loss)
+        model.forward(x, training=False)
+    assert sorted(set(ops) - called) == []
 
 
 def test_forward_output_lengths_and_probability_rows():
