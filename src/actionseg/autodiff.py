@@ -34,6 +34,7 @@ thread that entered it.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable
 
@@ -241,8 +242,8 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     values. The probes' tensors share one read-only view of a single
     buffer, so no data is copied per probe.
     """
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ContractError(f"eps must be finite and positive, got {eps}")
     x = x if isinstance(x, Tensor) else Tensor(x)
     tape = Tape()
     with tape:

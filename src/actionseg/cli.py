@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,8 +148,8 @@ class RunConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError(f"[train] epochs must be >= 0, got {self.epochs}")
-        if not self.lr > 0:
-            raise ConfigError(f"[train] lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"[train] lr must be finite and > 0, got {self.lr}")
         for t in self.thresholds:
             if not 0 < t < 100:
                 raise ConfigError(f"[metrics] thresholds must lie in (0, 100), got {t}")
@@ -326,6 +327,10 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.frames < 1:
         raise ContractError(f"--frames must be at least 1, got {args.frames}")
+    if not 0 < args.eps < math.inf:
+        raise ContractError(f"--eps must be finite and > 0, got {args.eps}")
+    if not 0 <= args.tolerance < math.inf:
+        raise ContractError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = ModelConfig(input_dim=args.dim, num_classes=args.classes, variant=args.variant,
                       k=args.depth, conv_len=args.conv_len, hidden=args.hidden,
                       dropout_conv=0.0, dropout_lstm=0.0, seed=args.seed)

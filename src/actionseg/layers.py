@@ -116,8 +116,11 @@ def _memo(owner, slot: str, key: tuple, build):
     so an entry is current exactly while the parameters hold its tensors.
     ``adam_step`` installs new ones, so training rebuilds once per step. The
     entry lives in the owner's ``__dict__`` and nowhere else, so a copy of a
-    block (``dataclasses.replace``, as the gradient report makes for each
-    probe) starts with no entry and builds from its own tensors. The key is
+    block (``dataclasses.replace``, as the gradient report makes once per
+    checked block) starts with no entry and builds from its own tensors.
+    Assigning a new variable to one field of a block rebuilds only the
+    entries whose key holds that field's tensor: the gradient report's
+    bias probes reuse their copy's merged kernels. The key is
     held, so no id in it can be reused; key and value are stored in one
     assignment, so a concurrent caller sees the old pair or the new one; and
     the value's arrays are read-only.
@@ -380,6 +383,7 @@ def _correlate_grads(g: np.ndarray, padded: np.ndarray, m: np.ndarray, wants_dx:
     return dm, dpadded
 
 
+@lru_cache(maxsize=4096)
 def _dft_length(s_len: int, offsets: int, cin: int, pf: int) -> int:
     """The block length n if the frequency-domain path is the cheaper one here, else 0.
 
@@ -390,7 +394,8 @@ def _dft_length(s_len: int, offsets: int, cin: int, pf: int) -> int:
     domain path works on n + 2 real spectrum rows, the real and imaginary
     parts of n/2 + 1 bins: it transforms the n rows of each input block and
     the offsets rows of M, makes four real products per bin, and transforms
-    back the n - offsets + 1 output rows of each block.
+    back the n - offsets + 1 output rows of each block. The answer depends
+    on the four ints alone, so the last 4096 shapes' answers are cached.
 
     Calibrated once, on a 2-core x86-64 VM with OpenBLAS on one thread, by
     timing both paths, forward and backward, at layer shapes of the model

@@ -16,6 +16,8 @@ sits on the decoding side:
 All variants end with a per-frame softmax read-out. Inputs whose length is
 not a multiple of 2**k are padded by repeating the final frame and outputs
 are trimmed back, so the output always has one row per input frame.
+Dropout runs only in training: an inference forward calls neither dropout
+op, whose inference mode is the identity.
 
 A decoder layer's upsample and its convolution or Bi-LSTM run as one op
 that works at the input rate: :func:`~actionseg.layers.upsample_conv1d_same`
@@ -254,18 +256,19 @@ def _plan(cfg: ModelConfig) -> list[Stage]:
 
     def encode(v, training, rng, conv):
         v = ly.norm_relu(ly.conv1d_same(v, conv))
-        v = ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
+        if training:
+            v = ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
         return ly.max_pool_time(v)
 
     def decode_conv(v, training, rng, conv):
         # upsample -> conv1d_same as one op that convolves at the input rate
         v = ly.norm_relu(ly.upsample_conv1d_same(v, conv))
-        return ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
+        return ly.spatial_dropout(v, cfg.dropout_conv, rng, training) if training else v
 
     def decode_lstm(v, training, rng, fwd, bwd):
         # upsample -> bilstm as one op that projects the input at the input rate
         v = ly.upsample_bilstm(v, fwd, bwd)
-        return ly.dropout(v, cfg.dropout_lstm, rng, training)
+        return ly.dropout(v, cfg.dropout_lstm, rng, training) if training else v
 
     def decode_lstm_last(v, training, rng, fwd, bwd):
         # recurrent dropout sits between recurrent layers, not ahead of the

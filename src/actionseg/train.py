@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -299,32 +298,41 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
     the gradients they leave on the shadow are dropped after each block's
     check. Stage outputs upstream of the owning stage do not depend on the
     block, so they are computed once; each probe reruns from the owning
-    stage with the probed block replaced by a new copy holding the probe
-    variable, which so builds its memoized weights (``layers._memo``) anew.
+    stage. The owning block is copied once per checked block, and the taped
+    pass and every probe assign their variable to that copy's field. So the
+    copy's memoized weights (``layers._memo``) that the probed field does
+    not feed, such as a conv bias probe's merged kernels, are built once
+    per block; those it feeds are rebuilt per probe, since every probe's
+    tensor is a new object.
     """
     shadow = [[replace(block, **{f.name: Variable(getattr(block, f.name).value) for f in fields(block)})
                for block in stage.blocks.values()] for stage in model.table]
+    stages = [(stage.forward, blocks) for stage, blocks in zip(model.table, shadow)]
     arr, t_len = model.prepare_input(x)
     inputs = [Tensor._wrap(arr)]
-    for stage, blocks in zip(model.table, shadow):
-        inputs.append(stage.forward(Variable(inputs[-1]), False, None, *blocks).value)
-
-    def loss_from(s, b, attr, probe):
-        blocks = list(shadow[s])
-        blocks[b] = replace(blocks[b], **{attr: probe})
-        u = model.table[s].forward(Variable(inputs[s]), False, None, *blocks)
-        for stage, later in zip(model.table[s + 1:], shadow[s + 1:]):
-            u = stage.forward(u, False, None, *later)
-        if u.value.shape[0] != t_len:
-            u = slice_axis(u, 0, 0, t_len)
-        return cross_entropy_loss(u, labels)
+    for forward, blocks in stages:
+        inputs.append(forward(Variable(inputs[-1]), False, None, *blocks).value)
 
     def check(s, b, attr):
-        error = finite_diff_check(partial(loss_from, s, b, attr), getattr(shadow[s][b], attr).value, eps)
+        forward, blocks = stages[s]
+        blocks = list(blocks)
+        probed = blocks[b] = replace(blocks[b])
+        later = stages[s + 1:]
+
+        def loss_from(probe):
+            setattr(probed, attr, probe)
+            u = forward(Variable(inputs[s]), False, None, *blocks)
+            for later_forward, later_blocks in later:
+                u = later_forward(u, False, None, *later_blocks)
+            if u.value.shape[0] != t_len:
+                u = slice_axis(u, 0, 0, t_len)
+            return cross_entropy_loss(u, labels)
+
+        error = finite_diff_check(loss_from, getattr(probed, attr).value, eps)
         # the taped pass left gradients on the shadow variables it reached,
         # which nothing reads
-        for blocks in shadow[s:]:
-            for block in blocks:
+        for stage_blocks in shadow[s:]:
+            for block in stage_blocks:
                 for f in fields(block):
                     getattr(block, f.name).zero_grad()
         return error

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import weakref
 
 import numpy as np
@@ -359,6 +360,12 @@ def test_finite_diff_rejects_non_scalar():
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ContractError):
         finite_diff_check(lambda v: dot(v, np.ones(1)), Tensor([1.0]), eps=0.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_finite_diff_rejects_a_step_that_is_not_finite(eps):
+    with pytest.raises(ContractError, match="eps must be finite and positive"):
+        finite_diff_check(lambda v: dot(v, np.ones(1)), Tensor([1.0]), eps=eps)
 
 
 def test_slice_axis_gradient_matches_finite_differences():

@@ -286,6 +286,27 @@ def test_gradcheck_frame_count_below_one_exits_2(frames, capsys):
     assert "--frames must be at least 1" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"),
+                                         ("--eps", "-1e-5"), ("--tolerance", "nan"),
+                                         ("--tolerance", "inf"), ("--tolerance", "-1e-4")])
+def test_gradcheck_step_or_tolerance_out_of_range_exits_2_naming_the_flag(flag, value, monkeypatch,
+                                                                          capsys):
+    def report(*args, **kw):
+        raise AssertionError("the report ran")
+
+    monkeypatch.setattr("actionseg.cli.finite_difference_report", report)
+    assert main(["gradcheck", "--depth", "1", "--frames", "4", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be finite" in captured.err and captured.out == ""
+
+
+def test_train_lr_that_is_not_finite_exits_2_naming_the_key(workdir, capsys):
+    cfg = write_run_cfg(workdir, lr=math.inf)
+    assert main(["train", "--config", str(cfg), "--out", str(workdir / "o")]) == 2
+    assert "[train] lr" in capsys.readouterr().err
+    assert not (workdir / "o").exists()
+
+
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_train_with_an_empty_split_exits_2_before_any_step(workdir, split, capsys):
     manifest = workdir / "ds" / "manifest.txt"

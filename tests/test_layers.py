@@ -322,7 +322,7 @@ def test_merged_kernels_follow_the_kernel_tensor():
     assert second is not first and not np.array_equal(second, first)
     assert matches_reference(p)
 
-    # the copies the gradient report makes: a probe's, and the shadow's
+    # the copies the gradient report makes: a checked block's, and the shadow's
     for q in (dataclasses.replace(p, kernels=Variable(p.kernels.value)), _shadow(p)):
         assert q is not p
         assert q.merged_kernels() is not second
@@ -330,6 +330,22 @@ def test_merged_kernels_follow_the_kernel_tensor():
     doubled = dataclasses.replace(p, kernels=Variable(2.0 * p.kernels.value.data))
     assert matches_reference(doubled)
     assert p.merged_kernels() is second
+
+
+def test_assigning_one_field_of_a_block_copy_rebuilds_only_what_it_feeds():
+    # the gradient report assigns each probe to one field of one copy
+    model = build(ModelConfig(input_dim=3, num_classes=2, variant="conv_only", k=1, conv_len=5,
+                              seed=3))
+    q = dataclasses.replace(model.table[1].blocks["dec1.conv"])
+    first = q.merged_kernels()
+    q.bias = Variable(q.bias.value.data + 1.0)
+    assert q.merged_kernels() is first
+    # matched by identity: equal values in a new tensor rebuild too
+    q.kernels = Variable(Tensor(q.kernels.value.data))
+    second = q.merged_kernels()
+    assert second is not first and np.array_equal(second, first)
+    q.kernels = Variable(2.0 * q.kernels.value.data)
+    assert np.array_equal(q.merged_kernels(), 2.0 * first)
 
 
 # normalized rectifier
@@ -603,7 +619,7 @@ def test_stacked_lstm_weights_follow_the_gate_tensors():
     assert second is not first and not np.array_equal(second.wh_t, first.wh_t)
     assert matches_reference(p)
 
-    # the copies the gradient report makes: a probe's, and the shadow's
+    # the copies the gradient report makes: a checked block's, and the shadow's
     for q in (dataclasses.replace(p, W_hf=Variable(p.W_hf.value)), _shadow(p)):
         assert q is not p
         assert q.stacked() is not second

@@ -219,6 +219,19 @@ def test_every_exported_layer_op_runs_in_some_variant(monkeypatch):
     assert sorted(set(ops) - called) == []
 
 
+def test_an_untaped_forward_calls_no_dropout_op(monkeypatch):
+    # inference-mode dropout is the identity, so an inference forward skips the call
+    def called(*args, **kwargs):
+        raise AssertionError("a dropout op ran in an inference forward")
+
+    monkeypatch.setattr(layers, "dropout", called)
+    monkeypatch.setattr(layers, "spatial_dropout", called)
+    x = np.random.default_rng(8).normal(size=(9, 3))
+    for variant in VARIANTS:
+        model = build(toy_config(variant, dropout_conv=0.2, dropout_lstm=0.2))
+        assert model.forward(x).value.shape == (9, 2)
+
+
 def test_forward_output_lengths_and_probability_rows():
     for variant in VARIANTS:
         m = build(toy_config(variant))

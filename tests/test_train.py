@@ -255,23 +255,31 @@ def test_report_kv_excludes_wall_time():
 
 
 def test_finite_difference_report_only_reads_the_model(monkeypatch):
-    def guarded(block, attr, value):
-        if attr in block.__dict__:
+    # the model's own blocks take no assignment at all, not even a memo
+    # entry; the report's copies of them are its own to assign
+    guarded, copied = [], []
+
+    def guard(block, attr, value):
+        if any(block is ours for ours in guarded):
             raise AssertionError(f"{type(block).__name__}.{attr} assigned during the report")
+        copied.append(attr)
         object.__setattr__(block, attr, value)
 
     for cls in (Conv1DParams, LSTMParams, DenseParams):
-        monkeypatch.setattr(cls, "__setattr__", guarded)
+        monkeypatch.setattr(cls, "__setattr__", guard)
     x = RNG.normal(size=(2, 1))
     for variant in VARIANTS:
         model = build(ModelConfig(input_dim=1, num_classes=2, variant=variant, k=1, conv_len=1,
                                   hidden=1, dropout_conv=0.0, dropout_lstm=0.0, seed=3))
+        guarded[:] = [block for stage in model.table for block in stage.blocks.values()]
+        copied.clear()
         params = dict(model.params)
         model.params = MappingProxyType(params)  # read-only: any assignment raises
         rows = finite_difference_report(model, x, [0, 1])
         assert [name for name, _ in rows] == list(params)
         assert all(np.isfinite(err) for _, err in rows)
         assert all(model.params[name] is var for name, var in params.items())
+        assert copied, "the guard saw no assignment to a copy"
 
 
 def test_forward_passes_leave_the_callers_array_writable():
@@ -321,6 +329,23 @@ def test_finite_difference_report_never_touches_the_models_variables(monkeypatch
     rows = finite_difference_report(model, RNG.normal(size=(4, 2)), [0, 1, 0, 1])
     assert [name for name, _ in rows] == list(model.params)
     assert checked == [p.value.shape for p in model.params.values()]
+
+
+def test_a_bias_probe_reuses_the_merged_kernels_of_its_block(monkeypatch):
+    model = build(ModelConfig(input_dim=2, num_classes=2, variant="conv_only", k=1, conv_len=1,
+                              hidden=1, dropout_conv=0.0, dropout_lstm=0.0, seed=9))
+    real, merges = layers_mod._merge_taps, []
+
+    def spy(kt):
+        merges.append(kt.shape)
+        return real(kt)
+
+    monkeypatch.setattr(layers_mod, "_merge_taps", spy)
+    finite_difference_report(model, RNG.normal(size=(4, 2)), [0, 1, 0, 1])
+    kernels = model.params["dec1.conv.kernels"].value.size
+    # the shadow's pass; the kernel check's taped pass and each of its
+    # probes; the bias check's taped pass, whose merge its probes reuse
+    assert len(merges) == 1 + (1 + 2 * kernels) + 1
 
 
 def test_finite_difference_report_leaves_no_gradient_on_its_shadow(monkeypatch):
