@@ -409,9 +409,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options whose value may be a negative number
+_NUMBER_OPTIONS = ("--eps", "--tolerance")
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with each of ``_NUMBER_OPTIONS`` and a negative number after it joined as ``flag=value``.
+
+    argparse reads a token that starts with '-' as a value only if it looks
+    like ``-5`` or ``-0.5``, so ``--eps -1e-5`` failed with "expected one
+    argument" before the flag's range check could name it.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and token.startswith("-") and _is_number(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     if args.command == "inspect" and (args.checkpoint is None) == (args.config is None):
         print("inspect needs exactly one of --checkpoint or --config", file=sys.stderr)
         return 2

@@ -26,6 +26,14 @@ rearranged weights those loops read are memoized on their parameters by
 :class:`LSTMParams` fields, in the stacked weights, the forward pass and
 the backward pass alike.
 
+Scratch that would grow with the input is formed a block at a time, in
+blocks long enough to keep the bits of the whole: the Bi-LSTM's input
+projection a block of at most 256 input rows at a time
+(:func:`_row_blocks`), and the frequency-domain convolution's copies of
+its input blocks a group of blocks at a time (:func:`_block_spectra`).
+Untaped, the Bi-LSTM then holds one block of projections and the
+convolution no padded input.
+
 Non-differentiable points are handled deterministically: the rectifier uses
 subgradient 0 at exactly 0, and max pooling (and the rectifier's layer-wide
 maximum) route their gradient to the earliest maximal index.
@@ -300,8 +308,10 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
       each of the three sums; for long inputs and long kernels it does a
       fraction of the direct path's multiply-adds.
 
-    The rule keeps the padded input and M, no other array, and the input's
-    node only when it owes the input a gradient; the backward pass
+    The frequency-domain forward reads its blocks from the input itself
+    (:func:`_block_spectra`), so untaped it builds no padded input. A
+    tape's rule keeps the padded input and M, no other array, and the
+    input's node only when it owes the input a gradient; the backward pass
     recomputes what else it needs. M's gradient folds onto the taps by a
     transposed view, or one GEMM with the phase map.
     """
@@ -321,16 +331,18 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
     offsets, pf, _ = m.shape
     n = _dft_length(s_len, offsets, cin, pf)
 
-    # the frequency-domain path reads whole blocks of n - offsets + 1 output rows
-    tail = -s_len % (n - offsets + 1) if n else 0
-    padded = np.zeros((s_len + tail + offsets - 1, cin), dtype=np.float64)
-    padded[left:left + s_len] = xd
-    out_arr = _dft_correlate(padded, m, s_len, n) if n else _correlate(padded, m, s_len)
+    taped = taping()
+    if not n or taped:
+        # the frequency-domain backward reads whole blocks of n - offsets + 1 output rows
+        tail = -s_len % (n - offsets + 1) if n else 0
+        padded = np.zeros((s_len + tail + offsets - 1, cin), dtype=np.float64)
+        padded[left:left + s_len] = xd
+    out_arr = _dft_correlate(xd, left, m, n) if n else _correlate(padded, m, s_len)
     out_arr = out_arr.reshape(-1, filters)
     out_arr += p.bias.value.data
     out = Variable(Tensor._wrap(out_arr))
 
-    if taping():
+    if taped:
         kernels, bias = node_of(p.kernels), node_of(p.bias)
         src = node_of(x) if _wants_grad(x) else None
         wants_dx = src is not None
@@ -480,6 +492,33 @@ def _spectra(dft_rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
     return (dft_rows @ cols).reshape(len(dft_rows) // 2, 2, -1, width)
 
 
+def _block_spectra(dft_rows: np.ndarray, a: np.ndarray, left: int, blocks: int, step: int,
+                   size: int) -> np.ndarray:
+    """Split spectra (bins, 2, blocks, columns): ``dft_rows`` times each block of ``a``.
+
+    Block b is the ``size`` rows from row b*step - left of ``a``, where the
+    rows before and after ``a`` are zeros: ``left`` rows of zero padding in
+    front, and behind as many as the last block reaches. The blocks are
+    copied side by side and transformed a group at a time, a group's copy
+    taking about ``_DFT_GROUP_BYTES``, so no copy of all the blocks, and no
+    padded copy of ``a``, is made. A group holds whole blocks of ``columns``
+    each, and a product on so many columns has the bits of the whole one.
+    """
+    cols = a.shape[1]
+    spectra = np.empty((len(dft_rows), blocks * cols), dtype=np.float64)
+    group = max(1, _DFT_GROUP_BYTES // (8 * size * cols))
+    for b0 in range(0, blocks, group):
+        count = min(group, blocks - b0)
+        first = b0 * step - left
+        rows = np.zeros(((count - 1) * step + size, cols), dtype=np.float64)
+        lo, hi = max(first, 0), min(first + len(rows), len(a))
+        rows[lo - first:hi - first] = a[lo:hi]
+        block_cols = np.ascontiguousarray(_blocks(rows, 0, count, step, size)).reshape(size, -1)
+        np.matmul(dft_rows, block_cols, out=spectra[:, b0 * cols:(b0 + count) * cols])
+        del rows, block_cols
+    return spectra.reshape(len(dft_rows) // 2, 2, blocks, cols)
+
+
 def _bin_groups(n: int, blocks: int, cin: int, pf: int) -> list[slice]:
     """The bins a group at a time: a group's per-bin spectra take about ``_DFT_GROUP_BYTES``."""
     bins = n // 2 + 1
@@ -514,25 +553,23 @@ def _blocks(a: np.ndarray, first: int, count: int, step: int, size: int) -> np.n
                                            (row, step * row, col))
 
 
-def _block_columns(a: np.ndarray, blocks: int, step: int, size: int) -> np.ndarray:
-    """(size, blocks*columns) copy of ``a``: column block b holds rows b*step to b*step+size."""
-    return np.ascontiguousarray(_blocks(a, 0, blocks, step, size)).reshape(size, -1)
-
-
-def _dft_correlate(padded: np.ndarray, m: np.ndarray, s_len: int, n: int) -> np.ndarray:
+def _dft_correlate(xd: np.ndarray, left: int, m: np.ndarray, n: int) -> np.ndarray:
     """:func:`_correlate` by overlap-save correlation in the frequency domain.
 
-    Block b is rows b*L to b*L+n of ``padded``, L = n - offsets + 1; its
-    circular correlation with M, by the spectra of both, one (blocks, cin)
-    @ (cin, pf) product with M's conjugate per frequency bin, holds output
-    rows b*L to b*L+L in its first L rows (overlap-save). ``padded`` has
-    the rows of whole blocks.
+    The padded input is ``xd`` after ``left`` zero rows, with zeros behind.
+    Block b is its rows b*L to b*L+n, L = n - offsets + 1; its circular
+    correlation with M, by the spectra of both, one (blocks, cin) @ (cin,
+    pf) product with M's conjugate per frequency bin, holds output rows b*L
+    to b*L+L in its first L rows (overlap-save). The blocks' spectra are
+    formed from ``xd`` itself, a group of blocks at a time
+    (:func:`_block_spectra`), so the padded input is never built.
     """
+    s_len = xd.shape[0]
     offsets, pf, cin = m.shape
     step = n - offsets + 1
     blocks = -(-s_len // step)
     dft = _dft(n)
-    xs = _spectra(dft.fwd, _block_columns(padded, blocks, step, n), cin)
+    xs = _block_spectra(dft.fwd, xd, left, blocks, step, n)
     ys = np.empty((n // 2 + 1, 2, blocks, pf), dtype=np.float64)
     m_rows = m.reshape(offsets, -1)
     for k in _bin_groups(n, blocks, cin, pf):
@@ -552,17 +589,17 @@ def _dft_grads(g: np.ndarray, padded: np.ndarray, m: np.ndarray, n: int, wants_d
     input's. Block b's input gradient is G_b @ M, n rows from row b*L,
     which overlap the next block's and are added (overlap-add). Both come
     from conj(G_b): the second as the conjugate of conj(G_b) @ conj(M).
+    Both spectra are formed a group of blocks at a time
+    (:func:`_block_spectra`); the output gradient's last block reads zeros
+    past its end, so no padded copy of it is made.
     """
     s_len = g.shape[0]
     offsets, pf, cin = m.shape
     step = n - offsets + 1
     blocks = -(-s_len // step)
     dft = _dft(n)
-    g_ext = np.zeros((blocks * step, pf), dtype=np.float64)
-    g_ext[:s_len] = g
-    gs = _spectra(dft.conj[:, :step], _block_columns(g_ext, blocks, step, step), pf)
-    del g_ext
-    xs = _spectra(dft.fwd, _block_columns(padded, blocks, step, n), cin)
+    gs = _block_spectra(dft.conj[:, :step], g, 0, blocks, step, step)
+    xs = _block_spectra(dft.fwd, padded, 0, blocks, step, n)
     m_rows = m.reshape(offsets, -1)
     dm = np.zeros((offsets, pf * cin), dtype=np.float64)
     dxs = np.empty((n // 2 + 1, 2, blocks, cin), dtype=np.float64) if wants_dx else None
@@ -657,6 +694,46 @@ def _steps(a: np.ndarray, d: int) -> np.ndarray:
     return a[::-1] if d else a
 
 
+# most input rows per block of the input projection
+_PROJ_BLOCK = 256
+
+
+def _row_blocks(s_len: int) -> list[tuple[int, int]]:
+    """The S input rows as (start, stop) blocks of balanced lengths, at most ``_PROJ_BLOCK`` each.
+
+    So S <= 256 is one block, and no block is under 128 rows once S > 256;
+    the first block is a longest one. A block of rows of a GEMM gets the
+    bits of the whole product's rows when it is long enough, and short ones
+    need not: with OpenBLAS, a block of up to 4 rows differed at N = 256
+    output columns, and one of up to 75 at N = 16 and 96 or 128 input
+    columns.
+    """
+    count = -(-s_len // _PROJ_BLOCK)
+    if count <= 1:
+        return [(0, s_len)]
+    base, longer = divmod(s_len, count)
+    bounds = [j * base + min(j, longer) for j in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _project(xd: np.ndarray, stacks: list[StackedGates], start: int, stop: int,
+             out: np.ndarray) -> None:
+    """Steps ``start:stop`` of every direction's input projection plus bias, into ``out``.
+
+    ``out`` is (stop - start, repeats, 4, n, H): the rows of one step of
+    each direction, the same for each of its repeats. Direction 0's step s
+    reads input row s, direction 1's row S-1-s; each direction's product is
+    one GEMM on rows of ``xd`` in frame order, so both paths of
+    :func:`_recurrence` get the same bits from the same blocks.
+    """
+    s_len = len(xd)
+    for d, w in enumerate(stacks):
+        proj = xd[s_len - stop:s_len - start] if d else xd[start:stop]
+        proj = (proj @ w.wx.T).reshape(stop - start, 1, 4, -1)
+        np.add(_steps(proj, d), w.b, out[:, :, :, d])
+        del proj
+
+
 def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Variable:
     """One LSTM per direction over the frames, all directions in one loop; returns (T, n*H).
 
@@ -673,15 +750,22 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     after step t, row t the h that step reads. After the loop direction 1 is
     put in frame order in place, and rows 1..T are the output, a view.
 
+    Both paths form the projection plus bias with :func:`_project`, one
+    block of input rows at a time (:func:`_row_blocks`: at most 256 rows,
+    so S <= 256 is one block), the same blocks on both paths, so they get
+    the same bits.
+
     - Taped: the gate buffer (T, 4, n, H) holds each step's projection plus
-      bias, repeated for ``upsample``, and the step turns it into the gates
-      in place; ``cs`` (T+1, n, H) keeps every cell state, row 0 the zero
-      initial one. Per-step history is kept only for a tape, which BPTT
-      reads, and the output buffer is the only copy of the hidden states.
-    - Untaped: the projection plus bias is kept for the S input rows only,
-      and step t reads row t // 2 with ``upsample``; each step adds the
-      recurrent term into one reused gate row and updates one cell row in
-      place.
+      bias, repeated for ``upsample``, filled block by block, and the step
+      turns it into the gates in place; ``cs`` (T+1, n, H) keeps every
+      cell state, row 0 the zero initial one. Per-step history is kept
+      only for a tape, which BPTT reads, and the output buffer is the only
+      copy of the hidden states.
+    - Untaped: one buffer holds the projection plus bias of one block of
+      input rows, refilled as the steps reach the next block, and step t
+      reads its row, that of input row t // 2 with ``upsample``; each step
+      adds the recurrent term into one reused gate row and updates one cell
+      row in place. So no scratch grows with T, only the output.
 
     Each step's gate row is laid out gate x direction x unit, so one call of
     ``expit`` covers the three sigmoid gates of every direction and one call
@@ -718,15 +802,24 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     repeat = 2 if upsample else 1
     t_len = repeat * s_len
     taped = taping()
+    blocks = _row_blocks(s_len)
 
-    # taped: the projection plus bias of every step, which the steps turn
-    # into the gates; untaped: of every input row, read by its steps
-    proj_rows = np.empty((t_len if taped else s_len, 4, n, hidden), dtype=np.float64)
-    slots = proj_rows.reshape(-1, repeat if taped else 1, 4, n, hidden)
-    for d, w in enumerate(stacks):
-        proj = (xd @ w.wx.T).reshape(s_len, 1, 4, hidden)
-        np.add(_steps(proj, d), w.b, slots[:, :, :, d])
-        del proj
+    if taped:
+        # the projection plus bias of every step, which the steps turn into the gates
+        proj_rows = np.empty((t_len, 4, n, hidden), dtype=np.float64)
+        slots = proj_rows.reshape(s_len, repeat, 4, n, hidden)
+        for start, stop in blocks:
+            _project(xd, stacks, start, stop, slots[start:stop])
+    else:
+        # one block of input rows' projection plus bias, which its steps read
+        proj_rows = np.empty((blocks[0][1], 4, n, hidden), dtype=np.float64)
+
+        def block_rows():
+            for start, stop in blocks:
+                rows = proj_rows[:stop - start]
+                _project(xd, stacks, start, stop, rows[:, None])
+                # each row handed to ``repeat`` steps, without indexing in Python
+                yield itertools.chain.from_iterable(zip(*[rows] * repeat))
     # untaped, the gates and the cell state are one row each
     gates = proj_rows if taped else np.empty((4, n, hidden), dtype=np.float64)
     sig = gates.reshape(-1, 4 * n * hidden)[:, :3 * n * hidden]  # flat: expit is slower on a 3D view
@@ -738,8 +831,9 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     if taped:
         step_rows = (gates, gates, sig, g_s, f_s, i_s, o_s, cs[:-1], cs[1:])
     else:
-        # step t reads input row t // repeat, and every step the same rows
-        step_rows = (itertools.chain.from_iterable(zip(*[proj_rows] * repeat)),
+        # step t reads its input row's projection, the buffer refilled a
+        # block at a time, and every step the same rows
+        step_rows = (itertools.chain.from_iterable(block_rows()),
                      *map(itertools.repeat, (gates, sig, g_s, f_s, i_s, o_s, cs, cs)))
     wh_t = np.concatenate([w.wh_t for w in stacks]).reshape(n, hidden, 4 * hidden)
     rec = np.empty((n, 1, 4 * hidden), dtype=np.float64)
@@ -756,9 +850,9 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
         np.multiply(f, c_prev, c)
         c += np.multiply(i, cd, tmp)
         np.multiply(o, np.tanh(c, tmp), h)
-    # wh_t is a copy of both W_h.T; untaped, the projections go too (p, the
-    # last step's row of them, included) before direction 1 is put in frame order
-    del wh_t, p, proj_rows, slots, step_rows
+    # wh_t is a copy of both W_h.T; untaped, the projection block goes too (p,
+    # the last step's row of it, included) before direction 1 is put in frame order
+    del wh_t, p, proj_rows, step_rows
     body = hs[1:-1]
     body[:, 1:] = body[::-1, 1:]
     out = Variable(Tensor._wrap(body.reshape(t_len, n * hidden)))

@@ -193,14 +193,17 @@ class Model:
         """Per-frame class probabilities, shape (frames, num_classes).
 
         The time axis is padded to the next multiple of 2**k by repeating the
-        last frame and trimmed back after the softmax. ``rng`` is required
-        when training with a nonzero dropout rate.
+        last frame and trimmed back after the softmax. The padded copy is
+        held by the first stage's input alone, so it goes once that stage
+        has read it, unless the stage's backward rule keeps it. ``rng`` is
+        required when training with a nonzero dropout rate.
         """
         arr, t_len = self.prepare_input(x)
         cfg = self.config
         if training and rng is None and (cfg.dropout_conv > 0 or cfg.dropout_lstm > 0):
             raise ContractError("training forward with dropout needs an rng")
         v = Variable(Tensor._wrap(arr))
+        del arr  # v alone holds the input
         for stage in self.table:
             v = stage(v, training, rng)
         if v.value.shape[0] != t_len:

@@ -300,6 +300,20 @@ def test_gradcheck_step_or_tolerance_out_of_range_exits_2_naming_the_flag(flag, 
     assert f"error: {flag} must be finite" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "-1e-5"), ("--tolerance", "-1e-3"),
+                                         ("--eps", "-inf")])
+def test_gradcheck_negative_number_as_its_own_token_gets_the_range_error(flag, value, monkeypatch,
+                                                                        capsys):
+    # argparse alone takes "-1e-5" for an option and exits with "expected one argument"
+    def report(*args, **kw):
+        raise AssertionError("the report ran")
+
+    monkeypatch.setattr("actionseg.cli.finite_difference_report", report)
+    assert main(["gradcheck", "--depth", "1", "--frames", "4", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be finite" in captured.err and captured.out == ""
+
+
 def test_train_lr_that_is_not_finite_exits_2_naming_the_key(workdir, capsys):
     cfg = write_run_cfg(workdir, lr=math.inf)
     assert main(["train", "--config", str(cfg), "--out", str(workdir / "o")]) == 2

@@ -725,8 +725,24 @@ def test_upsample_bilstm_untaped_keeps_no_step_history():
     # 15.1 MB (stacked weights included) with every step's gates, cell and
     # hidden states kept and the output concatenated from them; 7.2 MB with
     # the projection of the S input rows, one gate and cell row, and h
-    # written into the output
-    assert peak < 10e6, peak / 1e6
+    # written into the output; 4.85 MB with the projection a block of at
+    # most 256 input rows at a time
+    assert peak < 5e6, peak / 1e6
+
+
+def test_bilstm_untaped_memory_does_not_grow_with_the_projection():
+    s_len, channels, hidden = 2000, 128, 64
+    rng = np.random.default_rng(109)
+    x = Variable(rng.normal(size=(s_len, channels)))
+    fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
+    with TracedMemory() as mem:
+        out = L.bilstm(x, fwd, bwd)
+    peak = mem.peak
+    assert out.value.shape == (s_len, 2 * hidden)
+    # 13.28 MB (stacked weights included) with the (T, 4, 2, H) projection
+    # of every input row and one direction's (T, 4H) product; 4.85 MB with
+    # a block of at most 256 input rows of each, the 2 MB output included
+    assert peak < 6e6, peak / 1e6
 
 
 @given(s_len=st.integers(1, 40), channels=st.integers(1, 5), hidden=st.integers(1, 6),
@@ -743,6 +759,98 @@ def test_untaped_lstm_ops_give_the_taped_bytes(s_len, channels, hidden, seed):
             taped = op(x, fwd, bwd).value.data
         assert untaped.shape == taped.shape and len(taped) == repeat * s_len
         assert untaped.tobytes() == taped.tobytes(), op
+
+
+@pytest.mark.parametrize("block", [1, 3, L._PROJ_BLOCK])
+def test_untaped_lstm_ops_give_the_taped_bytes_across_projection_blocks(block, monkeypatch):
+    rng = np.random.default_rng(110 + block)
+    fwd, bwd = lstm_params(3, 2, rng), lstm_params(3, 2, rng)
+    monkeypatch.setattr(L, "_PROJ_BLOCK", block)
+    for s_len in (block - 1, block, block + 1, 2 * block + 1):
+        if s_len == 0:
+            continue
+        x = Variable(rng.normal(size=(s_len, 2)))
+        for _, op in _LSTM_OPS:
+            untaped = op(x, fwd, bwd).value.data
+            with ad.Tape():
+                taped = op(x, fwd, bwd).value.data
+            with monkeypatch.context() as mp:
+                mp.setattr(L, "_PROJ_BLOCK", s_len)
+                whole = op(x, fwd, bwd).value.data
+            assert untaped.tobytes() == taped.tobytes(), (op, s_len)
+            # a block of a few rows may round differently from the whole product
+            assert np.max(np.abs(untaped - whole)) <= 1e-14, (op, s_len)
+
+
+@pytest.mark.parametrize("hidden, channels", [(4, 96), (64, 128)])
+@pytest.mark.parametrize("s_len", [300, 1001])
+def test_the_default_projection_blocks_give_the_bytes_of_one_whole_block(hidden, channels, s_len):
+    rng = np.random.default_rng(s_len + hidden)
+    x = Variable(rng.normal(size=(s_len, channels)))
+    fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
+    assert len(L._row_blocks(s_len)) > 1
+    for _, op in _LSTM_OPS:
+        blocked = op(x, fwd, bwd).value.data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(L, "_PROJ_BLOCK", s_len)
+            whole = op(x, fwd, bwd).value.data
+        assert blocked.tobytes() == whole.tobytes(), op
+
+
+def test_projection_blocks_are_balanced_and_cover_the_rows():
+    for s_len in [1, 255, 256, 257, 300, 511, 512, 513, 1001, 2020]:
+        blocks = L._row_blocks(s_len)
+        assert blocks[0][0] == 0 and blocks[-1][1] == s_len
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        lengths = [stop - start for start, stop in blocks]
+        assert max(lengths) <= L._PROJ_BLOCK and max(lengths) - min(lengths) <= 1
+        assert len(blocks) == 1 or min(lengths) >= 128, s_len
+
+
+# (n, rows per block, step, left zero rows, frames, columns): the input
+# blocks of the forward and backward, then the output-gradient blocks of
+# the backward, at the model's frequency-domain shapes for width 30
+_SPECTRA_SHAPES = [
+    (64, 64, 35, 15, 2000, 64),
+    (32, 32, 17, 8, 1250, 96),
+    (64, 64, 35, 0, 2000 + 64, 96),
+    (64, 35, 35, 0, 2000, 64),
+    (32, 17, 17, 0, 1250, 192),
+]
+
+
+@pytest.mark.parametrize("n, size, step, left, s_len, cols", _SPECTRA_SHAPES)
+def test_block_spectra_a_group_at_a_time_give_the_bytes_of_whole_ones(n, size, step, left, s_len,
+                                                                       cols, monkeypatch):
+    rng = np.random.default_rng(s_len + cols)
+    a = rng.normal(size=(s_len, cols))
+    blocks = -(-(s_len + left) // step)
+    dft = L._dft(n)
+    dft_rows = dft.fwd if size == n else dft.conj[:, :size]
+    padded = np.zeros((blocks * step + size, cols))
+    padded[left:left + s_len] = a
+    whole = np.concatenate([padded[b * step:b * step + size] for b in range(blocks)], axis=1)
+    want = (dft_rows @ whole).reshape(n // 2 + 1, 2, blocks, cols)
+    for group_bytes in (1, 3 * 8 * size * cols, L._DFT_GROUP_BYTES):
+        monkeypatch.setattr(L, "_DFT_GROUP_BYTES", group_bytes)
+        got = L._block_spectra(dft_rows, a, left, blocks, step, size)
+        assert got.tobytes() == want.tobytes(), group_bytes
+
+
+def test_conv_untaped_frequency_domain_memory_holds_no_padded_input():
+    s_len, channels, width = 2000, 64, 30
+    assert L._dft_length(s_len, width, channels, channels)
+    rng = np.random.default_rng(111)
+    x = Variable(rng.normal(size=(s_len, channels)))
+    p = conv_params(channels, channels, width, rng=rng)
+    with TracedMemory() as mem:
+        out = L.conv1d_same(x, p)
+    peak = mem.peak
+    assert out.value.shape == (s_len, channels)
+    # 6.56 MB with a padded copy of the input held to the end and a copy of
+    # all its blocks; 5.50 MB with the blocks' spectra formed from the input
+    # itself, a group of blocks at a time
+    assert peak < 6e6, peak / 1e6
 
 
 # softmax read-out
