@@ -31,8 +31,8 @@ blocks long enough to keep the bits of the whole: the Bi-LSTM's input
 projection a block of at most 256 input rows at a time
 (:func:`_row_blocks`), and the frequency-domain convolution's copies of
 its input blocks a group of blocks at a time (:func:`_block_spectra`).
-Untaped, the Bi-LSTM then holds one block of projections and the
-convolution no padded input.
+Untaped, the Bi-LSTM then holds one block of projections; the
+frequency-domain convolution builds no padded input, taped or not.
 
 Non-differentiable points are handled deterministically: the rectifier uses
 subgradient 0 at exactly 0, and max pooling (and the rectifier's layer-wide
@@ -308,12 +308,13 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
       each of the three sums; for long inputs and long kernels it does a
       fraction of the direct path's multiply-adds.
 
-    The frequency-domain forward reads its blocks from the input itself
-    (:func:`_block_spectra`), so untaped it builds no padded input. A
-    tape's rule keeps the padded input and M, no other array, and the
-    input's node only when it owes the input a gradient; the backward pass
-    recomputes what else it needs. M's gradient folds onto the taps by a
-    transposed view, or one GEMM with the phase map.
+    The frequency-domain path reads its blocks from the input itself
+    (:func:`_block_spectra`), forward and backward, so it builds no padded
+    input. A tape's rule keeps the input (on the direct path the padded
+    input) and M, no other array, and the input's node only when it owes
+    the input a gradient; the backward pass recomputes what else it needs.
+    M's gradient folds onto the taps by a transposed view, or one GEMM with
+    the phase map.
     """
     x = as_variable(x)
     xd = x.value.data
@@ -331,27 +332,25 @@ def _convolution(x, p: Conv1DParams, upsample: bool) -> Variable:
     offsets, pf, _ = m.shape
     n = _dft_length(s_len, offsets, cin, pf)
 
-    taped = taping()
-    if not n or taped:
-        # the frequency-domain backward reads whole blocks of n - offsets + 1 output rows
-        tail = -s_len % (n - offsets + 1) if n else 0
-        padded = np.zeros((s_len + tail + offsets - 1, cin), dtype=np.float64)
+    if not n:
+        padded = np.zeros((s_len + offsets - 1, cin), dtype=np.float64)
         padded[left:left + s_len] = xd
     out_arr = _dft_correlate(xd, left, m, n) if n else _correlate(padded, m, s_len)
     out_arr = out_arr.reshape(-1, filters)
     out_arr += p.bias.value.data
     out = Variable(Tensor._wrap(out_arr))
 
-    if taped:
+    if taping():
         kernels, bias = node_of(p.kernels), node_of(p.bias)
         src = node_of(x) if _wants_grad(x) else None
         wants_dx = src is not None
+        kept = xd if n else padded  # the one input array the rule keeps
         def bw(g):
             g_s = g.reshape(s_len, pf)
             if n:
-                dm, dpadded = _dft_grads(g_s, padded, m, n, wants_dx)
+                dm, dpadded = _dft_grads(g_s, kept, left, m, n, wants_dx)
             else:
-                dm, dpadded = _correlate_grads(g_s, padded, m, wants_dx)
+                dm, dpadded = _correlate_grads(g_s, kept, m, wants_dx)
             if upsample:
                 dk = (dm.reshape(2 * offsets, filters * cin).T @ taps).reshape(filters, cin, width)
             else:
@@ -581,8 +580,12 @@ def _dft_correlate(xd: np.ndarray, left: int, m: np.ndarray, n: int) -> np.ndarr
     return out[:s_len]
 
 
-def _dft_grads(g: np.ndarray, padded: np.ndarray, m: np.ndarray, n: int, wants_dx: bool):
+def _dft_grads(g: np.ndarray, xd: np.ndarray, left: int, m: np.ndarray, n: int, wants_dx: bool):
     """:func:`_correlate_grads` in the frequency domain, on the blocks of :func:`_dft_correlate`.
+
+    The input is ``xd`` after ``left`` zero rows, as in
+    :func:`_dft_correlate`. The input gradient returned is that of the
+    padded input: blocks*L + offsets - 1 rows, from the first zero row.
 
     Per frequency bin, M's gradient is the sum over blocks of conj(G_b).T @
     X_b, for the spectra G_b of the output gradient's blocks and X_b of the
@@ -590,8 +593,8 @@ def _dft_grads(g: np.ndarray, padded: np.ndarray, m: np.ndarray, n: int, wants_d
     which overlap the next block's and are added (overlap-add). Both come
     from conj(G_b): the second as the conjugate of conj(G_b) @ conj(M).
     Both spectra are formed a group of blocks at a time
-    (:func:`_block_spectra`); the output gradient's last block reads zeros
-    past its end, so no padded copy of it is made.
+    (:func:`_block_spectra`) from ``xd`` and ``g`` themselves, which read
+    zeros past their ends, so no padded copy of either is made.
     """
     s_len = g.shape[0]
     offsets, pf, cin = m.shape
@@ -599,7 +602,7 @@ def _dft_grads(g: np.ndarray, padded: np.ndarray, m: np.ndarray, n: int, wants_d
     blocks = -(-s_len // step)
     dft = _dft(n)
     gs = _block_spectra(dft.conj[:, :step], g, 0, blocks, step, step)
-    xs = _block_spectra(dft.fwd, padded, 0, blocks, step, n)
+    xs = _block_spectra(dft.fwd, xd, left, blocks, step, n)
     m_rows = m.reshape(offsets, -1)
     dm = np.zeros((offsets, pf * cin), dtype=np.float64)
     dxs = np.empty((n // 2 + 1, 2, blocks, cin), dtype=np.float64) if wants_dx else None
@@ -621,7 +624,7 @@ def _dft_grads(g: np.ndarray, padded: np.ndarray, m: np.ndarray, n: int, wants_d
         return dm.reshape(m.shape), None
     dx_blocks = (dft.inv_conj @ dxs.reshape(n + 2, -1)).reshape(n, blocks, cin)
     del dxs
-    dpadded = np.zeros_like(padded)
+    dpadded = np.zeros((blocks * step + offsets - 1, cin), dtype=np.float64)
     _blocks(dpadded, 0, blocks, step, step)[...] += dx_blocks[:step]
     _blocks(dpadded, 1, blocks, step, offsets - 1)[...] += dx_blocks[step:]
     return dm.reshape(m.shape), dpadded

@@ -23,8 +23,6 @@ BLAS on one thread, and on a build other than the one the digests were
 recorded with the tests skip and name both.
 """
 
-import ctypes
-import glob
 import hashlib
 import os
 import tempfile
@@ -37,10 +35,8 @@ from actionseg.autodiff import Tape
 from actionseg.data import SynthConfig, synth_generate
 from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.train import cross_entropy_loss, finite_difference_report, train
-from worker_helpers import one_thread_pool
+from worker_helpers import blas_build, one_thread_pool, skip_unless_golden_build
 
-# (numpy version, OpenBLAS configuration as the library reports it at run time)
-GOLDEN_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
 GOLDEN_FORWARDS = {
     "full": "1b419c44137356691636b5455f9e7f38d4b5fe7403692d48180b5c56a8e8aeec",
     "high": "c38ee0e7262cde2f0d8b83ccdeb75508fad79615c8b7ff40a8a8d19b3e18ab78",
@@ -68,33 +64,13 @@ GOLDEN_TRAINS = {
 }
 
 
-def _blas_build() -> tuple[str, str]:
-    """(numpy version, OpenBLAS configuration), read from the loaded library where it can be.
-
-    A numpy wheel bundles its OpenBLAS beside the package; its run-time
-    configuration names the kernels chosen for this CPU. Elsewhere the
-    build-time configuration stands in.
-    """
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    config = blas.get("openblas configuration", f"{blas['name']} {blas['version']}")
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"):
-            get_config = getattr(lib, name, None)
-            if get_config is not None:
-                get_config.restype = ctypes.c_char_p
-                config = get_config().decode()
-                break
-    return np.__version__, config
-
-
 def _forward_digest(variant: str) -> tuple[tuple[str, str], str]:
     """(this build, the digest of one seeded untaped forward of ``variant``)."""
     model = build(ModelConfig(input_dim=64, num_classes=10, variant=variant, k=2, conv_len=30,
                               hidden=64, seed=49))
     x = np.random.default_rng(50).normal(size=(2000, 64))
     probs = model.forward(x, training=False)
-    return _blas_build(), hashlib.sha256(probs.value.data.tobytes()).hexdigest()
+    return blas_build(), hashlib.sha256(probs.value.data.tobytes()).hexdigest()
 
 
 def _step_digest(variant: str) -> tuple[tuple[str, str], str]:
@@ -112,7 +88,7 @@ def _step_digest(variant: str) -> tuple[tuple[str, str], str]:
     digest = hashlib.sha256(probs.value.data.tobytes())
     for var in model.params.values():
         digest.update(var._grad.tobytes())
-    return _blas_build(), digest.hexdigest()
+    return blas_build(), digest.hexdigest()
 
 
 def _report_digest(variant: str) -> tuple[tuple[str, str], str]:
@@ -121,7 +97,7 @@ def _report_digest(variant: str) -> tuple[tuple[str, str], str]:
                               hidden=2, seed=44))
     rng = np.random.default_rng(45)
     rows = finite_difference_report(model, rng.normal(size=(6, 2)), rng.integers(0, 2, size=6))
-    return _blas_build(), hashlib.sha256(repr(rows).encode()).hexdigest()
+    return blas_build(), hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def _train_digest(variant: str) -> tuple[tuple[str, str], str]:
@@ -137,7 +113,7 @@ def _train_digest(variant: str) -> tuple[tuple[str, str], str]:
                        checkpoint_path=path)
         digest = hashlib.sha256(path.read_bytes())
     digest.update(report.to_kv().encode())
-    return _blas_build(), digest.hexdigest()
+    return blas_build(), digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +128,7 @@ def _expect_golden(pool, digest, golden: dict[str, str]) -> None:
     builds = {found for found, _ in results.values()}
     assert len(builds) == 1, builds
     (here,) = builds
-    if here != GOLDEN_BUILD:
-        pytest.skip(f"golden digests were recorded with numpy {GOLDEN_BUILD[0]} and "
-                    f"{GOLDEN_BUILD[1]!r}; this build has numpy {here[0]} and {here[1]!r}")
+    skip_unless_golden_build(here)
     assert {v: digest for v, (_, digest) in results.items()} == golden
 
 

@@ -16,6 +16,7 @@ from actionseg.tensor import Tensor
 from actionseg.train import AdamState, adam_step
 from memory_helpers import TracedMemory
 from tape_helpers import dot, embed, repeat_frames
+from worker_helpers import blas_build, one_thread_pool, skip_unless_golden_build
 
 RNG = np.random.default_rng(20)
 
@@ -782,19 +783,39 @@ def test_untaped_lstm_ops_give_the_taped_bytes_across_projection_blocks(block, m
             assert np.max(np.abs(untaped - whole)) <= 1e-14, (op, s_len)
 
 
-@pytest.mark.parametrize("hidden, channels", [(4, 96), (64, 128)])
-@pytest.mark.parametrize("s_len", [300, 1001])
-def test_the_default_projection_blocks_give_the_bytes_of_one_whole_block(hidden, channels, s_len):
+# Whether a block of rows, or of columns, of a GEMM gives the bits of the
+# whole product depends on the BLAS build's kernels and on its thread count.
+# The tests that pin it run in a worker with BLAS on one thread, and skip on
+# another build than the one it was measured on.
+@pytest.fixture(scope="module")
+def one_thread():
+    with pytest.MonkeyPatch.context() as mp, one_thread_pool(1, mp) as pool:
+        yield pool
+
+
+def _projection_blocks_keep_the_bits(hidden, channels, s_len):
+    """Per LSTM op, whether the default projection blocks give the bytes of one whole block."""
     rng = np.random.default_rng(s_len + hidden)
     x = Variable(rng.normal(size=(s_len, channels)))
     fwd, bwd = lstm_params(hidden, channels, rng), lstm_params(hidden, channels, rng)
-    assert len(L._row_blocks(s_len)) > 1
+    same = []
     for _, op in _LSTM_OPS:
         blocked = op(x, fwd, bwd).value.data
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(L, "_PROJ_BLOCK", s_len)
             whole = op(x, fwd, bwd).value.data
-        assert blocked.tobytes() == whole.tobytes(), op
+        same.append(blocked.tobytes() == whole.tobytes())
+    return same
+
+
+@pytest.mark.parametrize("hidden, channels", [(4, 96), (64, 128)])
+@pytest.mark.parametrize("s_len", [300, 1001])
+def test_the_default_projection_blocks_give_the_bytes_of_one_whole_block(hidden, channels, s_len,
+                                                                         one_thread):
+    skip_unless_golden_build(blas_build())
+    assert len(L._row_blocks(s_len)) > 1
+    same = one_thread.submit(_projection_blocks_keep_the_bits, hidden, channels, s_len).result()
+    assert same == [True] * len(_LSTM_OPS), same
 
 
 def test_projection_blocks_are_balanced_and_cover_the_rows():
@@ -819,9 +840,8 @@ _SPECTRA_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("n, size, step, left, s_len, cols", _SPECTRA_SHAPES)
-def test_block_spectra_a_group_at_a_time_give_the_bytes_of_whole_ones(n, size, step, left, s_len,
-                                                                       cols, monkeypatch):
+def _grouped_spectra_keep_the_bits(n, size, step, left, s_len, cols):
+    """Per group size, whether :func:`L._block_spectra` gives the bytes of the whole product."""
     rng = np.random.default_rng(s_len + cols)
     a = rng.normal(size=(s_len, cols))
     blocks = -(-(s_len + left) // step)
@@ -831,10 +851,21 @@ def test_block_spectra_a_group_at_a_time_give_the_bytes_of_whole_ones(n, size, s
     padded[left:left + s_len] = a
     whole = np.concatenate([padded[b * step:b * step + size] for b in range(blocks)], axis=1)
     want = (dft_rows @ whole).reshape(n // 2 + 1, 2, blocks, cols)
+    same = {}
     for group_bytes in (1, 3 * 8 * size * cols, L._DFT_GROUP_BYTES):
-        monkeypatch.setattr(L, "_DFT_GROUP_BYTES", group_bytes)
-        got = L._block_spectra(dft_rows, a, left, blocks, step, size)
-        assert got.tobytes() == want.tobytes(), group_bytes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(L, "_DFT_GROUP_BYTES", group_bytes)
+            got = L._block_spectra(dft_rows, a, left, blocks, step, size)
+        same[group_bytes] = got.tobytes() == want.tobytes()
+    return same
+
+
+@pytest.mark.parametrize("n, size, step, left, s_len, cols", _SPECTRA_SHAPES)
+def test_block_spectra_a_group_at_a_time_give_the_bytes_of_whole_ones(n, size, step, left, s_len,
+                                                                       cols, one_thread):
+    skip_unless_golden_build(blas_build())
+    same = one_thread.submit(_grouped_spectra_keep_the_bits, n, size, step, left, s_len, cols).result()
+    assert all(same.values()), same
 
 
 def test_conv_untaped_frequency_domain_memory_holds_no_padded_input():
@@ -851,6 +882,23 @@ def test_conv_untaped_frequency_domain_memory_holds_no_padded_input():
     # all its blocks; 5.50 MB with the blocks' spectra formed from the input
     # itself, a group of blocks at a time
     assert peak < 6e6, peak / 1e6
+
+
+def test_conv_taped_frequency_domain_keeps_no_padded_input():
+    s_len, channels, width = 2000, 64, 30
+    assert L._dft_length(s_len, width, channels, channels)
+    rng = np.random.default_rng(112)
+    x = Variable(rng.normal(size=(s_len, channels)))
+    p = conv_params(channels, channels, width, rng=rng)
+    L.conv1d_same(x, p)
+    with TracedMemory() as mem:
+        with ad.Tape():
+            out = L.conv1d_same(x, p)
+            held = mem.held()
+    assert out.value.shape == (s_len, channels)
+    # 2.10 MB with the rule keeping a padded copy of the input beside the
+    # 1.02 MB output; 1.04 MB with the rule keeping the input itself
+    assert held < 1.5e6, held / 1e6
 
 
 # softmax read-out

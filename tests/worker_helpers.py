@@ -1,7 +1,20 @@
-"""The tests' one way to run work in other processes: spawned workers, BLAS on one thread."""
+"""The tests' one way to run work in other processes: spawned workers, BLAS on one thread.
 
+Also the BLAS build whose bits the byte-pinning tests were recorded with,
+and the check that skips them, naming both builds, on another one.
+"""
+
+import ctypes
+import glob
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+import pytest
+
+# (numpy version, OpenBLAS configuration as the library reports it at run time)
+GOLDEN_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
 
 
 def one_thread_pool(workers, monkeypatch):
@@ -14,3 +27,30 @@ def one_thread_pool(workers, monkeypatch):
     """
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def blas_build() -> tuple[str, str]:
+    """(numpy version, OpenBLAS configuration), read from the loaded library where it can be.
+
+    A numpy wheel bundles its OpenBLAS beside the package; its run-time
+    configuration names the kernels chosen for this CPU. Elsewhere the
+    build-time configuration stands in.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration", f"{blas['name']} {blas['version']}")
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"):
+            get_config = getattr(lib, name, None)
+            if get_config is not None:
+                get_config.restype = ctypes.c_char_p
+                config = get_config().decode()
+                break
+    return np.__version__, config
+
+
+def skip_unless_golden_build(here: tuple[str, str]) -> None:
+    """Skip the calling test, naming both builds, unless ``here`` is :data:`GOLDEN_BUILD`."""
+    if here != GOLDEN_BUILD:
+        pytest.skip(f"these bits were recorded with numpy {GOLDEN_BUILD[0]} and "
+                    f"{GOLDEN_BUILD[1]!r}; this build has numpy {here[0]} and {here[1]!r}")
