@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import layers as ly
-from .autodiff import Variable, slice_axis
+from .autodiff import Variable, slice_axis, taping
 from .errors import ConfigError, ContractError, LoadError, ShapeError
 from .layers import LSTM_FIELDS, Conv1DParams, DenseParams, LSTMParams
 from .tensor import Tensor
@@ -195,10 +195,16 @@ class Model:
         The time axis is padded to the next multiple of 2**k by repeating the
         last frame and trimmed back after the softmax. The padded copy is
         held by the first stage's input alone, so it goes once that stage
-        has read it, unless the stage's backward rule keeps it. ``rng`` is
-        required when training with a nonzero dropout rate.
+        has read it, unless the stage's backward rule keeps it. A taped pass
+        always works on a copy of its own, also of a Tensor whose length
+        needs no padding: the first stage's rule may keep its input until
+        the backward pass, and the pass's memory then does not depend on
+        whether the length was a multiple of 2**k. ``rng`` is required when
+        training with a nonzero dropout rate.
         """
         arr, t_len = self.prepare_input(x)
+        if taping() and isinstance(x, Tensor) and arr is x.data:
+            arr = arr.copy()
         cfg = self.config
         if training and rng is None and (cfg.dropout_conv > 0 or cfg.dropout_lstm > 0):
             raise ContractError("training forward with dropout needs an rng")

@@ -19,6 +19,7 @@ from actionseg.errors import ConfigError, ContractError, LoadError, ShapeError
 from actionseg.layers import Conv1DParams, DenseParams, LSTMParams
 from actionseg.model import (VARIANTS, ModelConfig, build, describe, format_describe,
                              load_checkpoint, save_checkpoint)
+from actionseg.tensor import Tensor
 from actionseg.train import cross_entropy_loss
 from memory_helpers import TracedMemory
 
@@ -248,6 +249,29 @@ def test_forward_pads_and_trims():
     padded, t_len = m.prepare_input(x)
     assert padded.shape == (100, 3) and t_len == 99
     assert np.array_equal(padded[-1], padded[98])
+
+
+def test_a_taped_step_holds_the_same_memory_whether_or_not_the_length_needs_padding():
+    # the first conv takes the frequency-domain path here, whose rule keeps
+    # its input: a padded copy at 999 frames, and at 1000 a copy too, never
+    # the caller's Tensor, which would save its 512 kB only when T % 4 == 0
+    m = build(toy_config(input_dim=64, num_classes=4, conv_len=30, hidden=8))
+    x = RNG.normal(size=(1000, 64))
+
+    def step(t_len):
+        features = Tensor(x[:t_len])
+        tape = Tape()
+        with TracedMemory() as mem:
+            with tape:
+                loss = cross_entropy_loss(m.forward(features), np.arange(t_len) % 4)
+            tape.backward(loss)
+        for v in m.params.values():
+            v.zero_grad()
+        return mem.peak
+
+    step(999), step(1000)  # the first calls fill the layers' caches
+    peaks = {t_len: step(t_len) for t_len in (999, 1000)}
+    assert abs(peaks[1000] - peaks[999]) < 100e3, peaks
 
 
 def test_forward_zero_input_is_valid_distribution():
