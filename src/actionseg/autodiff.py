@@ -240,8 +240,11 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     Every evaluation receives its own Tensor object, so a memo keyed on
     tensor identity (``layers._memo``) never sees one object with two
     values. The probes' tensors share one read-only view of a single
-    buffer, so no data is copied per probe.
+    buffer, so no data is copied per probe; as the buffer changes between
+    probes, no tape may be active (ContractError), or its rules would read it.
     """
+    if taping():
+        raise ContractError("finite_diff_check must run with no tape active")
     if not 0 < eps < math.inf:
         raise ContractError(f"eps must be finite and positive, got {eps}")
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -254,8 +257,8 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     tape.backward(out)
     analytic = (np.zeros(x.shape) if vx._grad is None else vx._grad).ravel()
 
-    # One reusable probe buffer: with no tape active nothing reads it again
-    # after an evaluation, so mutating it in place is safe.
+    # One reusable probe buffer: with no tape active (checked on entry)
+    # nothing reads it again after an evaluation, so it is mutated in place.
     work = x.data.copy()
     flat = work.ravel()
     view = work.view()

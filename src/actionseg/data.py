@@ -667,18 +667,17 @@ def frame_local_ceiling(samples, ambiguous_classes) -> float:
     return 100.0 * (1.0 - p / 2.0)
 
 
-def _glyph(label: int, background: int | None) -> str:
-    if background is not None and label == background:
-        return "."
+def _glyph(label: int) -> str:
     return _GLYPHS[label] if 0 <= label < len(_GLYPHS) else "#"
 
 
-def export_timeline(pred, gt, class_names, background: int | None = None) -> str:
+def export_timeline(pred, gt, class_names) -> str:
     """Render aligned per-frame glyph rows plus a segment summary table.
 
-    ``gt`` may be None to render a prediction-only timeline; otherwise both
-    sequences must have the same nonzero length and the summary lists the
-    reference segments with their per-segment prediction agreement.
+    Class i is the i-th glyph of A-Z a-z 0-9 (a background class too), any
+    other id ``#``. ``gt`` may be None to render a prediction-only timeline;
+    otherwise both sequences must have the same nonzero length and the
+    summary lists the reference segments with their per-segment agreement.
     """
     pred = np.asarray(pred)
     if pred.ndim != 1 or pred.size == 0:
@@ -688,8 +687,8 @@ def export_timeline(pred, gt, class_names, background: int | None = None) -> str
         gt = np.asarray(gt)
         if gt.shape != pred.shape:
             raise ContractError(f"timeline length mismatch: {pred.shape} vs {gt.shape}")
-        lines.append("gt    " + "".join(_glyph(v, background) for v in gt))
-    lines.append("pred  " + "".join(_glyph(v, background) for v in pred))
+        lines.append("gt    " + "".join(_glyph(v) for v in gt))
+    lines.append("pred  " + "".join(_glyph(v) for v in pred))
     if gt is not None:
         agree = 100.0 * float(np.count_nonzero(pred == gt)) / pred.size
         lines.append(f"frame agreement: {agree:.3f}%")

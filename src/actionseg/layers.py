@@ -89,18 +89,6 @@ class Conv1DParams:
         if bshape != (kshape[0],):
             raise ShapeError(f"conv bias shape {bshape} does not match {kshape[0]} filters")
 
-    @property
-    def filters(self) -> int:
-        return self.kernels.value.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernels.value.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.kernels.value.shape[2]
-
     def merged_kernels(self) -> np.ndarray:
         """Read-only (offsets, 2*filters, in_channels): the taps summed per input offset.
 
@@ -1056,14 +1044,14 @@ def time_softmax_dense(d, p: DenseParams) -> Variable:
     return softmax_time(logits)
 
 
-def _dropout_impl(x, rate: float, rng, training: bool, spatial: bool) -> Variable:
+def _dropout_impl(x, rate: float, rng, spatial: bool) -> Variable:
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     x = as_variable(x)
     xd = x.value.data
     if spatial and xd.ndim != 2:
         raise ShapeError(f"spatial_dropout input must be (frames, channels), got {x.value.shape}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     scale = 1.0 / (1.0 - rate)
     # kept as bool, an eighth of a float mask. Multiplying by the mask, then
@@ -1085,18 +1073,18 @@ def _dropout_impl(x, rate: float, rng, training: bool, spatial: bool) -> Variabl
     return out
 
 
-def dropout(x, rate: float, rng, training: bool) -> Variable:
+def dropout(x, rate: float, rng) -> Variable:
     """Zero independent elements with probability ``rate``; survivors are rescaled.
 
-    Inference mode is the identity, so the expected training output equals
-    the input.
+    The expected output equals the input. Rate 0 returns ``x`` and draws
+    nothing from ``rng``; a pass without dropout does not call it.
     """
-    return _dropout_impl(x, rate, rng, training, spatial=False)
+    return _dropout_impl(x, rate, rng, spatial=False)
 
 
-def spatial_dropout(x, rate: float, rng, training: bool) -> Variable:
+def spatial_dropout(x, rate: float, rng) -> Variable:
     """Dropout that zeroes whole channels: one mask column shared by all frames.
 
-    The input must be (frames, channels), in inference mode too.
+    The input must be (frames, channels), at rate 0 too.
     """
-    return _dropout_impl(x, rate, rng, training, spatial=True)
+    return _dropout_impl(x, rate, rng, spatial=True)

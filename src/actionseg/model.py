@@ -16,8 +16,8 @@ sits on the decoding side:
 All variants end with a per-frame softmax read-out. Inputs whose length is
 not a multiple of 2**k are padded by repeating the final frame and outputs
 are trimmed back, so the output always has one row per input frame.
-Dropout runs only in training: an inference forward calls neither dropout
-op, whose inference mode is the identity.
+Dropout runs only in training: a stage's ``forward(v, rng, *blocks)`` runs
+it from ``rng``, and an inference forward passes None, calling no dropout op.
 
 A decoder layer's upsample and its convolution or Bi-LSTM run as one op
 that works at the input rate: :func:`~actionseg.layers.upsample_conv1d_same`
@@ -129,10 +129,10 @@ class Stage:
     ``name`` is the parameter prefix (``enc{i}``, ``mid``, ``dec{i}``, ``out``);
     ``rows`` are its (name, kind) lines of :func:`describe`; ``blocks`` maps
     each typed block's name prefix (``enc1.conv``, ``mid.lstm.fwd``) to the
-    block; ``forward(v, training, rng, *blocks)`` runs the stage on the
-    blocks it is given, in ``blocks`` order, so a caller can run it on
-    copies of them; ``shapes(t, width)`` gives the output shape after each
-    row.
+    block; ``forward(v, rng, *blocks)`` runs the stage on the blocks it is
+    given, in ``blocks`` order, so a caller can run it on copies of them,
+    with dropout drawn from ``rng``, or none if ``rng`` is None;
+    ``shapes(t, width)`` gives the output shape after each row.
     """
 
     name: str
@@ -145,8 +145,8 @@ class Stage:
         return [(f"{prefix}.{f.name}", getattr(block, f.name))
                 for prefix, block in self.blocks.items() for f in dataclasses.fields(block)]
 
-    def __call__(self, v, training: bool = False, rng=None) -> Variable:
-        return self.forward(v, training, rng, *self.blocks.values())
+    def __call__(self, v, rng=None) -> Variable:
+        return self.forward(v, rng, *self.blocks.values())
 
 
 class Model:
@@ -200,7 +200,7 @@ class Model:
         needs no padding: the first stage's rule may keep its input until
         the backward pass, and the pass's memory then does not depend on
         whether the length was a multiple of 2**k. ``rng`` is required when
-        training with a nonzero dropout rate.
+        training with a nonzero dropout rate, and is not read otherwise.
         """
         arr, t_len = self.prepare_input(x)
         if taping() and isinstance(x, Tensor) and arr is x.data:
@@ -211,7 +211,7 @@ class Model:
         v = Variable(Tensor._wrap(arr))
         del arr  # v alone holds the input
         for stage in self.table:
-            v = stage(v, training, rng)
+            v = stage(v, rng if training else None)
         if v.value.shape[0] != t_len:
             v = slice_axis(v, 0, 0, t_len)
         return v
@@ -263,23 +263,23 @@ def _plan(cfg: ModelConfig) -> list[Stage]:
         return {f"{prefix}.fwd": _lstm_block(cfg.hidden, channels),
                 f"{prefix}.bwd": _lstm_block(cfg.hidden, channels)}
 
-    def encode(v, training, rng, conv):
+    def encode(v, rng, conv):
         v = ly.norm_relu(ly.conv1d_same(v, conv))
-        if training:
-            v = ly.spatial_dropout(v, cfg.dropout_conv, rng, training)
+        if rng is not None:
+            v = ly.spatial_dropout(v, cfg.dropout_conv, rng)
         return ly.max_pool_time(v)
 
-    def decode_conv(v, training, rng, conv):
+    def decode_conv(v, rng, conv):
         # upsample -> conv1d_same as one op that convolves at the input rate
         v = ly.norm_relu(ly.upsample_conv1d_same(v, conv))
-        return ly.spatial_dropout(v, cfg.dropout_conv, rng, training) if training else v
+        return v if rng is None else ly.spatial_dropout(v, cfg.dropout_conv, rng)
 
-    def decode_lstm(v, training, rng, fwd, bwd):
+    def decode_lstm(v, rng, fwd, bwd):
         # upsample -> bilstm as one op that projects the input at the input rate
         v = ly.upsample_bilstm(v, fwd, bwd)
-        return ly.dropout(v, cfg.dropout_lstm, rng, training) if training else v
+        return v if rng is None else ly.dropout(v, cfg.dropout_lstm, rng)
 
-    def decode_lstm_last(v, training, rng, fwd, bwd):
+    def decode_lstm_last(v, rng, fwd, bwd):
         # recurrent dropout sits between recurrent layers, not ahead of the
         # read-out; the last layer of the conv-free decoder skips it
         return ly.upsample_bilstm(v, fwd, bwd)
@@ -295,7 +295,7 @@ def _plan(cfg: ModelConfig) -> list[Stage]:
 
     if cfg.variant == "high":
         table.append(Stage("mid", (("mid.lstm", "bilstm"),), bilstm_blocks("mid.lstm", width),
-                           lambda v, training, rng, fwd, bwd: ly.bilstm(v, fwd, bwd),
+                           lambda v, rng, fwd, bwd: ly.bilstm(v, fwd, bwd),
                            lambda t, w: [(t, two_h)]))
         width = two_h
 
@@ -317,7 +317,7 @@ def _plan(cfg: ModelConfig) -> list[Stage]:
     w = _glorot((cfg.num_classes, width), width, cfg.num_classes)
     table.append(Stage("out", (("out", "time_softmax_dense"),),
                        {"out": _Block(DenseParams, {"W": w, "b": _Param((cfg.num_classes,))})},
-                       lambda v, training, rng, dense: ly.time_softmax_dense(v, dense),
+                       lambda v, rng, dense: ly.time_softmax_dense(v, dense),
                        lambda t, w: [(t, cfg.num_classes)]))
     return table
 

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import (Tape, Variable, as_variable, finite_diff_check, node_of, record,
                        slice_axis, taping, _accum)
 from .errors import ContractError, ShapeError
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport, _fmt_thr, evaluate
 from .model import Model, save_checkpoint
 from .tensor import Tensor
 
@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 LOG_GUARD = 1e-12
+
+# Adam's moment decays and denominator guard; only its learning rate is a setting
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -102,12 +107,12 @@ def cross_entropy_loss(yhat, labels, mask=None) -> Variable:
 
 @dataclass
 class AdamState:
-    """First and second moments, keyed on each parameter's Variable, plus the shared step counter."""
+    """The learning rate, the moments keyed on each parameter's Variable and the shared step counter.
+
+    The decays and the guard are fixed: ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+    """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[Variable, np.ndarray] = field(default_factory=dict)
     v: dict[Variable, np.ndarray] = field(default_factory=dict)
@@ -116,8 +121,8 @@ class AdamState:
 def adam_step(params, grads, state: AdamState):
     """One bias-corrected moment update applied to every parameter in place.
 
-    m and v track the gradient and squared gradient with decay beta1/beta2;
-    each parameter moves by -lr * m_hat / (sqrt(v_hat) + eps). The moments
+    m and v track the gradient and squared gradient with decay ADAM_BETA1/2;
+    each parameter moves by -lr * m_hat / (sqrt(v_hat) + ADAM_EPS). The moments
     are updated in place, by the same operations in the same order as that
     formula, so the result is bit-identical to computing it afresh.
 
@@ -130,8 +135,8 @@ def adam_step(params, grads, state: AdamState):
     if len(params) != len(grads):
         raise ContractError(f"{len(params)} parameters but {len(grads)} gradients")
     state.t += 1
-    correction1 = 1.0 - state.beta1 ** state.t
-    correction2 = 1.0 - state.beta2 ** state.t
+    correction1 = 1.0 - ADAM_BETA1 ** state.t
+    correction2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g in zip(params, grads):
         if g.shape != p.value.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.value.shape}")
@@ -141,18 +146,18 @@ def adam_step(params, grads, state: AdamState):
             v = state.v[p] = np.zeros_like(g)
         else:
             v = state.v[p]
-        tmp = np.multiply(1.0 - state.beta1, g)
-        m *= state.beta1
+        tmp = np.multiply(1.0 - ADAM_BETA1, g)
+        m *= ADAM_BETA1
         m += tmp
-        np.multiply(1.0 - state.beta2, g, out=tmp)
+        np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
         tmp *= g
-        v *= state.beta2
+        v *= ADAM_BETA2
         v += tmp
         step = np.divide(m, correction1)
         step *= state.lr
         np.divide(v, correction2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         step /= tmp
         p.value = Tensor._wrap(np.subtract(p.value.data, step, out=step))
     return params, state
@@ -188,19 +193,21 @@ class TrainReport:
             lines.append(f"{prefix}.train_acc={e.train_acc!r}")
             lines.append(f"{prefix}.val.acc={e.val_acc!r}")
             lines.append(f"{prefix}.val.edit={e.val_edit!r}")
-            lines += [f"{prefix}.val.f1@{int(k)}={v!r}" for k, v in e.val_f1.items()]
+            lines += [f"{prefix}.val.f1@{_fmt_thr(k)}={v!r}" for k, v in e.val_f1.items()]
         for line in self.final.to_kv().splitlines():
             lines.append(f"final.val.{line}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        thr = list(self.final.f1)
+        # a column is 10 wide, or as wide as its name (val_f1@12.25)
+        cols = [(k, "val_f1@" + _fmt_thr(k)) for k in self.final.f1]
         header = (f"{'epoch':>5} {'loss':>10} {'train_acc':>10} {'val_acc':>8} {'val_edit':>8} "
-                  + " ".join(f"{'val_f1@' + str(int(k)):>10}" for k in thr))
+                  + " ".join(f"{name:>10}" for _, name in cols))
         lines = [header]
         for e in self.epochs:
             lines.append(f"{e.epoch:>5} {e.loss:>10.6f} {e.train_acc:>10.3f} {e.val_acc:>8.3f} "
-                         f"{e.val_edit:>8.3f} " + " ".join(f"{e.val_f1[k]:>10.3f}" for k in thr))
+                         f"{e.val_edit:>8.3f} "
+                         + " ".join(f"{e.val_f1[k]:>{max(10, len(name))}.3f}" for k, name in cols))
         lines.append("")
         lines.append("final validation:")
         lines.append(self.final.to_text())
@@ -311,7 +318,7 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
     arr, t_len = model.prepare_input(x)
     inputs = [Tensor._wrap(arr)]
     for forward, blocks in stages:
-        inputs.append(forward(Variable(inputs[-1]), False, None, *blocks).value)
+        inputs.append(forward(Variable(inputs[-1]), None, *blocks).value)
 
     def check(s, b, attr):
         forward, blocks = stages[s]
@@ -321,9 +328,9 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
 
         def loss_from(probe):
             setattr(probed, attr, probe)
-            u = forward(Variable(inputs[s]), False, None, *blocks)
+            u = forward(Variable(inputs[s]), None, *blocks)
             for later_forward, later_blocks in later:
-                u = later_forward(u, False, None, *later_blocks)
+                u = later_forward(u, None, *later_blocks)
             if u.value.shape[0] != t_len:
                 u = slice_axis(u, 0, 0, t_len)
             return cross_entropy_loss(u, labels)

@@ -368,6 +368,20 @@ def test_finite_diff_rejects_a_step_that_is_not_finite(eps):
         finite_diff_check(lambda v: dot(v, np.ones(1)), Tensor([1.0]), eps=eps)
 
 
+def test_finite_diff_under_a_tape_is_rejected_and_records_nothing():
+    # a probe recorded on the caller's tape would keep views of the probe
+    # buffer that the check goes on changing
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return dot(v, v)
+    outer = Tape()
+    with outer, pytest.raises(ContractError, match="no tape active"):
+        finite_diff_check(f, Tensor([[1.0, -2.0], [0.5, 3.0]]), eps=1e-5)
+    assert outer.ops == [] and calls == []
+
+
 def test_slice_axis_gradient_matches_finite_differences():
     a0 = Tensor(np.random.default_rng(9).normal(size=(3, 4)))
     for axis, start, stop in ((0, 1, 3), (1, 0, 2)):

@@ -308,7 +308,7 @@ def test_merged_kernels_follow_the_kernel_tensor():
     model = build(ModelConfig(input_dim=3, num_classes=2, variant="conv_only", k=1, conv_len=5,
                               seed=3))
     p = model.table[1].blocks["dec1.conv"]
-    x = Variable(np.random.default_rng(103).normal(size=(4, p.in_channels)))
+    x = Variable(np.random.default_rng(103).normal(size=(4, p.kernels.shape[1])))
 
     def matches_reference(params):
         got = L.upsample_conv1d_same(x, params).value.data
@@ -934,28 +934,24 @@ def test_dense_shape_mismatch():
 
 
 def test_dropout_rate_zero_is_identity():
+    # and draws nothing from the rng
     x = Variable(RNG.normal(size=(4, 3)))
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     for fn in (L.dropout, L.spatial_dropout):
-        assert fn(x, 0.0, rng, True) is x
-        assert fn(x, 0.0, rng, False) is x
-
-
-def test_dropout_inference_is_identity():
-    x = Variable(RNG.normal(size=(4, 3)))
-    for fn in (L.dropout, L.spatial_dropout):
-        assert fn(x, 0.7, np.random.default_rng(0), False) is x
+        assert fn(x, 0.0, rng) is x
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_rate_one_rejected():
     x = Variable(np.ones((2, 2)))
     with pytest.raises(ContractError):
-        L.dropout(x, 1.0, np.random.default_rng(0), True)
+        L.dropout(x, 1.0, np.random.default_rng(0))
 
 
 def test_spatial_dropout_zeroes_whole_channels():
     x = Variable(np.ones((6, 8)))
-    out = L.spatial_dropout(x, 0.5, np.random.default_rng(3), True).value.data
+    out = L.spatial_dropout(x, 0.5, np.random.default_rng(3)).value.data
     for ch in range(8):
         col = out[:, ch]
         assert np.all(col == col[0])
@@ -963,9 +959,9 @@ def test_spatial_dropout_zeroes_whole_channels():
 
 def test_spatial_dropout_rejects_an_input_that_is_not_frames_by_channels():
     for shape in [(2,), (2, 3, 4)]:
-        for training in (True, False):
+        for rate in (0.5, 0.0):
             with pytest.raises(ShapeError):
-                L.spatial_dropout(Variable(np.ones(shape)), 0.5, np.random.default_rng(0), training)
+                L.spatial_dropout(Variable(np.ones(shape)), rate, np.random.default_rng(0))
 
 
 def test_dropout_gives_the_bits_of_the_float_mask_nan_and_inf_included():
@@ -976,7 +972,7 @@ def test_dropout_gives_the_bits_of_the_float_mask_nan_and_inf_included():
         x = Variable(xd, trainable=True)
         with np.errstate(all="ignore"):
             with ad.Tape() as tape:
-                out = fn(x, 0.3, np.random.default_rng(5), True)
+                out = fn(x, 0.3, np.random.default_rng(5))
                 loss = dot(out, g)
             tape.backward(loss)
             keep = np.random.default_rng(5).random(mask_shape) >= 0.3
@@ -990,7 +986,7 @@ def test_dropout_monte_carlo_unbiased():
         rng = np.random.default_rng(1)
         acc = np.zeros_like(x)
         for _ in range(10000):
-            acc += fn(Variable(x), 0.5, rng, True).value.data
+            acc += fn(Variable(x), 0.5, rng).value.data
         acc /= 10000
         assert np.max(np.abs(acc - x)) <= 0.02
 
@@ -1128,6 +1124,6 @@ def test_dropout_gradient_matches_finite_differences_with_frozen_mask():
     w = Variable(rng.normal(size=(6, 4)))
     for fn in (L.dropout, L.spatial_dropout):
         def f(v, fn=fn):
-            out = fn(v, 0.4, np.random.default_rng(7), True)
+            out = fn(v, 0.4, np.random.default_rng(7))
             return dot(out, w)
         assert _fd(f, x0) <= 1e-6

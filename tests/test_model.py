@@ -221,7 +221,7 @@ def test_every_exported_layer_op_runs_in_some_variant(monkeypatch):
 
 
 def test_an_untaped_forward_calls_no_dropout_op(monkeypatch):
-    # inference-mode dropout is the identity, so an inference forward skips the call
+    # an inference forward passes its stages no rng, so they run no dropout
     def called(*args, **kwargs):
         raise AssertionError("a dropout op ran in an inference forward")
 
@@ -231,6 +231,27 @@ def test_an_untaped_forward_calls_no_dropout_op(monkeypatch):
     for variant in VARIANTS:
         model = build(toy_config(variant, dropout_conv=0.2, dropout_lstm=0.2))
         assert model.forward(x).value.shape == (9, 2)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_forward_at_rate_zero_needs_no_rng_and_gives_the_inference_bytes(variant):
+    model = build(toy_config(variant))
+    x = np.random.default_rng(8).normal(size=(9, 3))
+    got = model.forward(x, training=True).value.data
+    assert got.tobytes() == model.forward(x).value.data.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_inference_forward_draws_nothing_from_a_given_rng(variant):
+    model = build(toy_config(variant, dropout_conv=0.2, dropout_lstm=0.2))
+    x = np.random.default_rng(8).normal(size=(9, 3))
+    r = np.random.default_rng(9)
+    state = r.bit_generator.state
+    got = model.forward(x, training=False, rng=r).value.data
+    assert r.bit_generator.state == state
+    assert got.tobytes() == model.forward(x).value.data.tobytes()
+    model.forward(x, training=True, rng=r)  # a training pass does draw
+    assert r.bit_generator.state != state
 
 
 def test_forward_output_lengths_and_probability_rows():

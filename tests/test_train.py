@@ -129,7 +129,7 @@ def test_adam_matches_reference_recurrence():
     rng = np.random.default_rng(71)
     theta = rng.normal(size=(3, 2))
     p = Variable(theta.copy(), trainable=True)
-    state = AdamState(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState(lr=0.01)
 
     ref = theta.copy()
     m = np.zeros_like(ref)
@@ -150,7 +150,7 @@ def test_adam_is_bit_identical_to_the_reference_recurrence():
     lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
     theta = rng.normal(size=(3, 2))
     p = Variable(theta.copy(), trainable=True)
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = AdamState(lr=lr)
 
     ref = theta.copy()
     m = np.zeros_like(ref)
@@ -252,6 +252,21 @@ def test_report_kv_excludes_wall_time():
     assert "wall" not in kv
     assert "epoch.1.loss=" in kv and "final.val.acc=" in kv
     assert "wall_time_s" in report.to_text()
+
+
+def test_report_spells_a_threshold_as_the_final_metrics_do():
+    # two thresholds that share an integer part keep two keys per epoch
+    ds = tiny_dataset()
+    report = train(tiny_model(seed=4), ds.split("train"), ds.split("test"), epochs=1, seed=4,
+                   thresholds=(10, 12.2, 12.7))
+    keys = [line.split("=")[0] for line in report.to_kv().splitlines()]
+    assert len(keys) == len(set(keys))
+    f1 = [k for k in keys if "@" in k and not k.startswith("final.val.seq.")]
+    assert f1 == ["epoch.1.val.f1@10", "epoch.1.val.f1@12.2", "epoch.1.val.f1@12.7",
+                  "final.val.f1@10", "final.val.f1@12.2", "final.val.f1@12.7"]
+    header, row = report.to_text().splitlines()[:2]
+    assert header.split()[-3:] == ["val_f1@10", "val_f1@12.2", "val_f1@12.7"]
+    assert len(header) == len(row)  # the wider names keep their columns aligned
 
 
 def test_finite_difference_report_only_reads_the_model(monkeypatch):
