@@ -5,9 +5,10 @@ File formats (all plain text, one sample per file pair):
 * features: first line ``T d``, then T lines of d space-separated reals,
   each read to the bits Python's ``float()`` gives it. A file in the shape
   :func:`save_dataset` writes (ASCII; one space between values and one
-  ``\n`` after each row; decimals, with e-notation rare) is converted a
-  block of rows at a time in whole-array numpy passes; every other file
-  goes through a row-by-row ``float()`` parse, which accepts every
+  ``\n`` after each row; decimals, with e-notation rare) is converted in
+  one pass, a block of rows at a time in whole-array numpy passes. A block
+  that holds any other byte or spelling declines the file, which then goes
+  through a row-by-row ``float()`` parse; that parse accepts every
   spelling ``float()`` does and names the line of the first bad value.
   A packed binary alternative is accepted for large files: magic ``TRIC``,
   little-endian uint32 version/T/d, then T*d little-endian float64 values.
@@ -297,29 +298,19 @@ def _check_finite_rows(path: Path, rows: np.ndarray) -> None:
 def _convert_rows(fh) -> np.ndarray | None:
     """The features of a text file in the shape ``save_dataset`` writes, or None for any other.
 
-    One pass checks that every byte is one the lane reads, before any value
-    is converted; a second converts blocks of whole rows (``_convert_chunk``),
-    so the text is never held whole. None asks the caller for the row loop,
-    which accepts every other spelling and reports every error; a file is
+    One pass reads the header, then converts blocks of whole rows as it
+    reads them (``_convert_chunk``), so the text is never held whole and
+    each byte is read once. None asks the caller for the row loop, which
+    accepts every other spelling and reports every error; a file is
     declined whole, never half converted.
     """
     if not _LANE_LONG_DOUBLE:
         return None
-    size = 0
-    for block in iter(lambda: fh.read(_LANE_CHUNK), b""):
-        if block.translate(None, _LANE_BYTES):
-            return None
-        # e-notation throughout, as np.savetxt writes by default, is declined
-        # before the rest of the file is read
-        if not size and 16 * block.count(b"e") > block.count(b" ") + block.count(b"\n"):
-            return None
-        size += len(block)
-    fh.seek(0)
     try:
         t_len, dim = (int(v) for v in fh.readline().split())
     except ValueError:
         return None
-    if t_len < 1 or dim < 1 or 2 * t_len * dim > size:
+    if t_len < 1 or dim < 1 or 2 * t_len * dim > os.fstat(fh.fileno()).st_size:
         return None
     out = np.empty((t_len, dim), dtype=np.float64)
     flat = out.reshape(-1)
@@ -343,8 +334,11 @@ def _convert_chunk(chunk: bytes, dim: int, dest: np.ndarray) -> bool:
     Clinger, PLDI 1990. Those quotients, e-notation tokens and integers the
     int64 parse cannot hold exactly go through ``float()`` one at a time. A
     chunk where more than one token in 16 does is declined: the lane loses
-    to the row loop at about one in 8.
+    to the row loop at about one in 8. So is a chunk with a byte outside
+    ``_LANE_BYTES``.
     """
+    if chunk.translate(None, _LANE_BYTES):
+        return False
     n = dest.size
     v = np.frombuffer(chunk, dtype=np.uint8)
     seps = np.flatnonzero(v <= 32)  # the only such bytes read are " " and "\n"

@@ -61,15 +61,9 @@ def segments_from_labels(labels, background: int | None = None) -> list[Segment]
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 1:
         raise ContractError("labels must be a non-empty 1-D sequence")
-    out = []
-    start = 0
-    for t in range(1, labels.size + 1):
-        if t == labels.size or labels[t] != labels[start]:
-            label = int(labels[start])
-            if background is None or label != background:
-                out.append(Segment(label, start, t))
-            start = t
-    return out
+    ends = np.append(np.flatnonzero(labels[1:] != labels[:-1]) + 1, labels.size).tolist()
+    runs = [Segment(int(labels[s]), s, e) for s, e in zip([0, *ends], ends)]
+    return [seg for seg in runs if background is None or seg.label != background]
 
 
 def levenshtein(a, b) -> int:

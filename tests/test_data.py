@@ -454,6 +454,98 @@ def test_a_long_row_before_a_short_one_is_reported(tmp_path):
     assert str(err.value) == f"{path}:263: expected 64 values, got 65"
 
 
+class _CountingFile:
+    """A binary file that counts the bytes its reads return."""
+
+    def __init__(self, fh):
+        self._fh, self.returned = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def read(self, *args):
+        out = self._fh.read(*args)
+        self.returned += len(out)
+        return out
+
+    def readline(self, *args):
+        out = self._fh.readline(*args)
+        self.returned += len(out)
+        return out
+
+    def readlines(self, *args):
+        out = self._fh.readlines(*args)
+        self.returned += sum(map(len, out))
+        return out
+
+
+def test_a_saved_text_file_is_read_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(88)
+    sample = SequenceSample("v", Tensor(rng.normal(size=(300, 64))), np.zeros(300, dtype=np.int64))
+    save_dataset(Dataset(DatasetManifest(["a", "b"], 64, {"t": ["v"]}), {"v": sample}), tmp_path)
+    path = tmp_path / "v.features.txt"
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(_CountingFile(open(*args, **kwargs)))
+        return opened[-1]
+
+    monkeypatch.setattr(data, "open", counting_open, raising=False)
+    _lane_only(monkeypatch)
+    assert load_features(path).data.tobytes() == sample.features.data.tobytes()
+    # the four bytes of the magic sniff, read again after the rewind, then each byte once
+    assert [f.returned for f in opened] == [path.stat().st_size + len(data._FEATURE_MAGIC)]
+
+
+# chunks as _convert_rows hands them over: whole lines, as readlines returns
+# them, with room for `dim` values a line; tokens in the lane's shape, other
+# strings of its bytes, and bytes outside its alphabet
+_LANE_DECIMALS = st.builds(lambda sign, whole, frac: f"{sign}{whole}.{frac}".encode(),
+                           st.sampled_from(["", "-", "+"]), st.text("0123456789", max_size=21),
+                           st.text("0123456789", max_size=30))
+_ODD_BYTES = [b"\t", b"\r", b"\x00", b"\xa0", b"\xc2\xa0", b"x", b"E", b"a", b"\x0b", b"\x1c"]
+
+
+@st.composite
+def _lane_chunks(draw) -> tuple[bytes, int]:
+    dim = draw(st.integers(1, 4))
+    token = st.one_of(st.floats(allow_nan=False).map(lambda v: repr(v).encode()), _LANE_DECIMALS,
+                      st.text("0123456789.+-e", max_size=6).map(str.encode))
+    odd = st.tuples(token, st.sampled_from(_ODD_BYTES), st.integers(0, 8)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        width = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+        tokens = draw(st.lists(st.one_of(token, token, token, odd), min_size=width, max_size=width))
+        lines.append(draw(st.sampled_from([b" ", b" ", b" ", b"  "])).join(tokens) + b"\n")
+    if draw(st.booleans()):  # the last line of a file without a final newline
+        lines[-1] = lines[-1][:-1]
+    return b"".join(lines), dim
+
+
+@given(_lane_chunks())
+@example((b"1.5a\n", 1))
+@example((b"1.5\t2.5\n", 2))
+@example((b"1.5 2.5\n3.5\r\n", 2))
+@example((b"-0.0 12345678901234567890.5\n", 2))
+def test_the_chunk_converter_gives_floats_bits_or_declines(case):
+    chunk, dim = case
+    lines = chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+    dest = np.full(lines * dim, np.nan)
+    if data._convert_chunk(chunk, dim, dest):
+        assert chunk.endswith(b"\n")
+        rows = [line.split(b" ") for line in chunk[:-1].split(b"\n")]
+        assert {len(row) for row in rows} == {dim}
+        want = np.array([float(token) for row in rows for token in row])
+        assert dest.tobytes() == want.tobytes()
+
+
 # every dataset parser loads its input or raises LoadError, whatever the bytes
 
 

@@ -1,6 +1,6 @@
 """Golden digests: the bytes of seeded runs per variant.
 
-Four digests per variant, each pinned by sha256:
+Five digests per variant, each pinned by sha256:
 
 - one untaped ``model.forward`` at 2000 frames, d=64, w=30 and H=64: the
   probabilities. That is the inference path: the convolutions in the
@@ -13,6 +13,9 @@ Four digests per variant, each pinned by sha256:
   k=1, d=2, 2 classes, w=3, H=2 and 6 frames.
 - a seeded 3-epoch ``train`` with dropout 0.2 at k=2, w=5, H=8 on videos of
   about 60 frames: the checkpoint's bytes, then ``report.kv``'s.
+- ``actionseg eval --split val`` on that run's dataset, saved as text and
+  loaded back, and a checkpoint of the same training run on it: the bytes of
+  ``report.kv``, from the feature text to the scores.
 
 A change that moves any of those bits fails here; a change that moves them
 on purpose records new digests and says which moved.
@@ -32,7 +35,8 @@ import numpy as np
 import pytest
 
 from actionseg.autodiff import Tape
-from actionseg.data import SynthConfig, synth_generate
+from actionseg.cli import main
+from actionseg.data import SynthConfig, load_dataset, save_dataset, synth_generate
 from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.train import cross_entropy_loss, finite_difference_report, train
 from worker_helpers import blas_build, one_thread_pool, skip_unless_golden_build
@@ -61,6 +65,12 @@ GOLDEN_TRAINS = {
     "high": "6697f9b9d94b2b93bb99b78aa8aa14eff0b4c711cf331f67c7bce239c0c9832f",
     "low": "067fb547f644811d5ba2a2a4f626fdfc798e605da6720c5d7a20cfcd5da23d86",
     "conv_only": "653740136507f1dee93890a360c48b098808cfeada01c9af08f99a78f848e571",
+}
+GOLDEN_EVALS = {
+    "full": "151327607686748964847b99b3087b48ee3448c553a84bed77d9b1802e9cc5f8",
+    "high": "e095ffbddd3a17a5f7e4c00574aeb9a95d227c5b65279d8df0396f9c1f44cacf",
+    "low": "c21dcbcdb0cdb99c33c50e23a0e7aaccc7eae2590fc7aa35bb6a190d7a552c57",
+    "conv_only": "b0fe459f10c11f21254fe6d99c6b3e1f890e5c33cd047fcf356a899c6a264f1c",
 }
 
 
@@ -100,19 +110,43 @@ def _report_digest(variant: str) -> tuple[tuple[str, str], str]:
     return blas_build(), hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def _train_digest(variant: str) -> tuple[tuple[str, str], str]:
-    """(this build, the digest of the checkpoint and ``report.kv`` of a seeded 3-epoch run)."""
-    ds = synth_generate(SynthConfig(num_classes=4, actions_per_video=5, sub_actions=(2, 3),
-                                    frames_per_sub=(4, 6), feature_dim=6,
-                                    videos_per_split={"train": 2, "val": 1}, seed=46))
+def _train_dataset():
+    return synth_generate(SynthConfig(num_classes=4, actions_per_video=5, sub_actions=(2, 3),
+                                      frames_per_sub=(4, 6), feature_dim=6,
+                                      videos_per_split={"train": 2, "val": 1}, seed=46))
+
+
+def _train_run(variant: str, ds, checkpoint: Path):
+    """The seeded 3-epoch run of ``variant`` on ``ds``, checkpointed at ``checkpoint``; its report."""
     model = build(ModelConfig(input_dim=6, num_classes=4, variant=variant, k=2, conv_len=5,
                               hidden=8, dropout_conv=0.2, dropout_lstm=0.2, seed=47))
+    return train(model, ds.split("train"), ds.split("val"), epochs=3, seed=48,
+                 checkpoint_path=checkpoint)
+
+
+def _train_digest(variant: str) -> tuple[tuple[str, str], str]:
+    """(this build, the digest of the checkpoint and ``report.kv`` of a seeded 3-epoch run)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "checkpoint.bin"
-        report = train(model, ds.split("train"), ds.split("val"), epochs=3, seed=48,
-                       checkpoint_path=path)
+        report = _train_run(variant, _train_dataset(), path)
         digest = hashlib.sha256(path.read_bytes())
     digest.update(report.to_kv().encode())
+    return blas_build(), digest.hexdigest()
+
+
+def _eval_digest(variant: str) -> tuple[tuple[str, str], str]:
+    """(this build, the digest of ``eval``'s ``report.kv`` on the training run's text dataset)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        manifest = save_dataset(_train_dataset(), tmp / "data")
+        checkpoint = tmp / "checkpoint.bin"
+        _train_run(variant, load_dataset(manifest), checkpoint)
+        config = tmp / "run.cfg"
+        config.write_text(f"[data]\nmanifest = {manifest}\n")
+        code = main(["eval", "--config", str(config), "--checkpoint", str(checkpoint),
+                     "--split", "val", "--out", str(tmp / "eval")])
+        assert code == 0, code
+        digest = hashlib.sha256((tmp / "eval" / "report.kv").read_bytes())
     return blas_build(), digest.hexdigest()
 
 
@@ -146,3 +180,7 @@ def test_the_gradient_check_gives_the_golden_rows(pool):
 
 def test_a_seeded_training_run_gives_the_golden_bytes(pool):
     _expect_golden(pool, _train_digest, GOLDEN_TRAINS)
+
+
+def test_eval_of_a_text_dataset_gives_the_golden_report(pool):
+    _expect_golden(pool, _eval_digest, GOLDEN_EVALS)

@@ -40,9 +40,27 @@ def test_segments_constant_sequence():
     assert segments_from_labels([3] * 7) == [seg(3, 0, 7)]
 
 
+@pytest.mark.parametrize("labels", [[], np.zeros((2, 3), dtype=int), 5])
+def test_segments_of_empty_or_not_1d_labels_rejected(labels):
+    with pytest.raises(ContractError):
+        segments_from_labels(labels)
+
+
 def test_segments_background_dropped():
     bg, a = 9, 4
     assert segments_from_labels([bg, a, a, bg], background=bg) == [seg(a, 1, 3)]
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=60), st.sampled_from([None, 0, 3]),
+       st.booleans())
+def test_segments_are_the_runs_groupby_finds(labels, background, as_array):
+    want, start = [], 0
+    for label, run in itertools.groupby(labels):
+        end = start + len(list(run))
+        if label != background:
+            want.append(seg(label, start, end))
+        start = end
+    assert segments_from_labels(np.array(labels) if as_array else labels, background) == want
 
 
 def test_edit_score_examples():
