@@ -21,10 +21,12 @@ algorithms, one GEMM per input offset for short inputs and short kernels,
 and overlap-save correlation in the frequency domain for long ones;
 :func:`_dft_length` picks one per call from the shapes, by a count of
 multiply-adds calibrated once and recorded in its docstring. The
-rearranged weights those loops read are memoized on their parameters by
-:func:`_memo`. The LSTM gates have one order, that of the
+upsampled convolution's merged kernels are memoized on the kernel tensor
+by :func:`_memo`. The LSTM gates have one order, that of the
 :class:`LSTMParams` fields, in the stacked weights, the forward pass and
-the backward pass alike.
+the backward pass alike. The stacked weights are views, not copies: a
+model's gate tensors are the rows of one array per group of four
+(``LSTM_GROUPS``), and :meth:`LSTMParams.stacked` reads those arrays.
 
 Scratch that would grow with the input is formed a block at a time, in
 blocks long enough to keep the bits of the whole: the Bi-LSTM's input
@@ -108,25 +110,26 @@ def _merge_taps(kt: Tensor) -> np.ndarray:
 def _memo(owner, slot: str, key: tuple, build):
     """``build(*key)``, kept on ``owner`` as ``slot`` while the key's tensors stay.
 
-    Keys are tuples of tensors, matched by identity; tensors are immutable,
-    so an entry is current exactly while the parameters hold its tensors.
-    ``adam_step`` installs new ones, so training rebuilds once per step. The
-    entry lives in the owner's ``__dict__`` and nowhere else, so a copy of a
-    block (``dataclasses.replace``, as the gradient report makes once per
-    checked block) starts with no entry and builds from its own tensors.
-    Assigning a new variable to one field of a block rebuilds only the
-    entries whose key holds that field's tensor: the gradient report's
-    bias probes reuse their copy's merged kernels. The key is
+    It keeps the merged kernels of :meth:`Conv1DParams.merged_kernels`; the
+    stacked LSTM weights are views of the gate tensors' own arrays
+    (:meth:`LSTMParams.stacked`). Keys are tuples of tensors, matched by
+    identity; tensors are immutable, so an entry is current exactly while
+    the parameters hold its tensors. ``adam_step`` installs new ones, so
+    training rebuilds once per step. The entry lives in the owner's
+    ``__dict__`` and nowhere else, so a copy of a block
+    (``dataclasses.replace``, as the gradient report makes once per checked
+    block) starts with no entry and builds from its own tensors. Assigning
+    a new variable to the bias of a block keeps its entry: the gradient
+    report's bias probes reuse their copy's merged kernels. The key is
     held, so no id in it can be reused; key and value are stored in one
     assignment, so a concurrent caller sees the old pair or the new one; and
-    the value's arrays are read-only.
+    the value's array is read-only.
     """
     cached = owner.__dict__.get(slot)
     if cached is not None and all(map(operator.is_, cached[0], key)):
         return cached[1]
     value = build(*key)
-    for arr in value if isinstance(value, tuple) else (value,):
-        arr.setflags(write=False)
+    value.setflags(write=False)
     setattr(owner, slot, (key, value))
     return value
 
@@ -176,19 +179,39 @@ class LSTMParams:
     def stacked(self) -> "StackedGates":
         """The gate weights stacked gate by gate, read-only (see :class:`StackedGates`).
 
-        Memoized on all 12 tensors (:func:`_memo`).
+        Each group of four fields, the W_x*, the W_h* and the b_*, is read
+        as one (4, ...) array: the array whose rows its tensors are, in
+        field order, as ``build``, ``load_checkpoint`` and ``adam_step``
+        leave them, so the stacked weights are views and no copy is held;
+        or else the four stacked afresh (:func:`_gate_rows`). The result is
+        kept on the block while its 12 tensors stay, matched by identity
+        as in :func:`_memo`. On a miss, a group whose four tensors did not
+        change keeps its array from the stale entry: a gradient-check probe
+        of one field rebuilds only that field's group.
         """
-        return _memo(self, "_stacked", _LSTM_TENSORS(self), _stack_gates)
+        key = _LSTM_TENSORS(self)
+        old_key, old_rows, value = self.__dict__.get("_stacked", ((None,) * 12, (None,) * 3, None))
+        if all(map(operator.is_, old_key, key)):
+            return value
+        wx, wh, b = (rows if all(map(operator.is_, old_key[i:i + 4], key[i:i + 4]))
+                     else _gate_rows(key[i:i + 4]) for i, rows in zip((0, 4, 8), old_rows))
+        hidden = wh.shape[1]
+        value = StackedGates(wx.reshape(4 * hidden, -1), b, wh.reshape(4 * hidden, hidden).T)
+        # one assignment: a concurrent caller sees the old entry or the new one
+        self._stacked = key, (wx, wh, b), value
+        return value
 
 
 class StackedGates(NamedTuple):
-    """One unit's gate weights as the forward recurrence reads them.
+    """One unit's gate weights as the recurrence reads them, read-only.
 
     Row block k of ``wx`` (4H, in_dim) and row k of ``b`` (4, H) hold gate
     k in the field order; they give the input projection x @ wx.T + b.
-    ``wh_t`` (H, 4H) is the recurrent matrix, transposed and contiguous. The
-    backward pass reads ``wx`` as it is and stacks ``wh_t.T`` afresh per
-    call, so an untaped model keeps only these.
+    ``wh_t`` (H, 4H) is the recurrent matrix, the transpose of the (4H, H)
+    W_h rows. All three are views of the arrays that
+    :meth:`LSTMParams.stacked` reads, so a model keeps each weight once.
+    The recurrence copies every direction's ``wh_t`` into one C-ordered
+    array per call, forward and backward (:func:`_recurrent_weights`).
     """
 
     wx: np.ndarray
@@ -196,9 +219,30 @@ class StackedGates(NamedTuple):
     wh_t: np.ndarray
 
 
-def _stack_gates(*gates: Tensor) -> StackedGates:
-    wx, wh, b = (np.concatenate([t.data for t in gates[i:i + 4]]) for i in (0, 4, 8))
-    return StackedGates(wx, b.reshape(4, -1), np.ascontiguousarray(wh.T))
+def _rows_of(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The read-only array whose rows, in order, are ``arrays``, or None if there is none.
+
+    ``arrays`` are C-contiguous, as a tensor's are. The bases are compared
+    first, so arrays that are not rows of one array cost no address reads.
+    """
+    base = arrays[0].base
+    if (type(base) is not np.ndarray or base.flags.writeable or not base.flags.c_contiguous
+            or base.dtype != arrays[0].dtype or base.shape != (len(arrays), *arrays[0].shape)
+            or any(a.base is not base for a in arrays)):
+        return None
+    start, stride = base.ctypes.data, base.strides[0]
+    return base if all(a.ctypes.data == start + k * stride for k, a in enumerate(arrays)) else None
+
+
+def _gate_rows(gates: tuple[Tensor, ...]) -> np.ndarray:
+    """The gates' arrays as the rows of one read-only array: the one they are rows of, or a new stack."""
+    arrays = [t.data for t in gates]
+    rows = _rows_of(arrays)
+    if rows is None:
+        # np.stack's Python-level checks cost more than this at the toy sizes
+        rows = np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+        rows.setflags(write=False)
+    return rows
 
 
 # The LSTMParams field names in declaration order: W_x*, W_h*, b_*, each in
@@ -207,6 +251,9 @@ def _stack_gates(*gates: Tensor) -> StackedGates:
 LSTM_FIELDS = tuple(f.name for f in fields(LSTMParams))
 # the 12 tensors of an LSTMParams in field order, in one C-level call
 _LSTM_TENSORS = operator.attrgetter(*(f"{name}.value" for name in LSTM_FIELDS))
+# The LSTMParams fields whose tensors are the rows of one array: the W_x*,
+# the W_h* and the b_*, each group in gate order (see LSTMParams.stacked).
+LSTM_GROUPS = (LSTM_FIELDS[0:4], LSTM_FIELDS[4:8], LSTM_FIELDS[8:12])
 
 
 @dataclass
@@ -826,7 +873,7 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
         # block at a time, and every step the same rows
         step_rows = (itertools.chain.from_iterable(block_rows()),
                      *map(itertools.repeat, (gates, sig, g_s, f_s, i_s, o_s, cs, cs)))
-    wh_t = np.concatenate([w.wh_t for w in stacks]).reshape(n, hidden, 4 * hidden)
+    wh_t = _recurrent_weights(stacks)
     rec = np.empty((n, 1, 4 * hidden), dtype=np.float64)
     rec_g = rec.reshape(n, 4, hidden).transpose(1, 0, 2)  # rec in the gate row's layout
     tmp = np.empty((n, hidden), dtype=np.float64)  # i*g, then tanh(c)
@@ -856,7 +903,7 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
     src = node_of(x) if _wants_grad(x) else None
     def bw(g):
         nonlocal cs, hs
-        da = _gate_grads(gates, cs, g, np.stack([w.wh_t.T for w in stacks]))
+        da = _gate_grads(gates, cs, g, _recurrent_weights(stacks).transpose(0, 2, 1))
         cs = None
         # each direction's h_{t-1} in step order: rows 0..T-1, or T+1 down to 2
         a_s = [da[:, d] for d in range(n)]
@@ -882,6 +929,19 @@ def _recurrence(x, units: tuple[LSTMParams, ...], upsample: bool = False) -> Var
         if src is not None:
             ad._accum(src, dx)
     record(out, bw)
+    return out
+
+
+def _recurrent_weights(stacks: list[StackedGates]) -> np.ndarray:
+    """Every direction's ``wh_t`` in one C-ordered (n, H, 4H) array.
+
+    The recurrence's GEMVs read this layout, forward, and its transpose,
+    backward: the operand's strides, not only its values, set their bits.
+    """
+    hidden = stacks[0].wh_t.shape[0]
+    out = np.empty((len(stacks), hidden, 4 * hidden), dtype=np.float64)
+    for d, w in enumerate(stacks):
+        out[d] = w.wh_t
     return out
 
 

@@ -47,14 +47,14 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import layers as ly
 from .autodiff import Variable, slice_axis, taping
 from .errors import ConfigError, ContractError, LoadError, ShapeError
-from .layers import LSTM_FIELDS, Conv1DParams, DenseParams, LSTMParams
+from .layers import LSTM_FIELDS, LSTM_GROUPS, Conv1DParams, DenseParams, LSTMParams
 from .tensor import Tensor
 
 __all__ = [
@@ -230,10 +230,21 @@ class _Param(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """A typed parameter block before it has values: its class and its fields' ``_Param``s."""
+    """A typed parameter block before it has values: its class, its fields' ``_Param``s and their groups.
+
+    ``groups`` partitions the fields, in field order, into groups whose
+    values are the rows of one array (the LSTM gate weights,
+    ``LSTM_GROUPS``); the fields of a group share one shape and one
+    initializer limit. Empty, every field is an array of its own.
+    """
 
     cls: type
     params: dict[str, _Param]
+    groups: tuple[tuple[str, ...], ...] = ()
+
+    def field_groups(self) -> tuple[tuple[str, ...], ...]:
+        """``groups``, or else every field a group of its own."""
+        return self.groups or tuple((name,) for name in self.params)
 
 
 def _glorot(shape: tuple[int, ...], fan_in: int, fan_out: int) -> _Param:
@@ -247,7 +258,7 @@ def _lstm_block(hidden: int, in_dim: int) -> _Block:
     b, b_f = _Param((hidden,)), _Param((hidden,), ones=True)
     # in field order, so W_x*, then W_h* draw first
     return _Block(LSTMParams, {name: w_x if name.startswith("W_x") else w_h if name.startswith("W_h")
-                               else b_f if name == "b_f" else b for name in LSTM_FIELDS})
+                               else b_f if name == "b_f" else b for name in LSTM_FIELDS}, LSTM_GROUPS)
 
 
 def _plan(cfg: ModelConfig) -> list[Stage]:
@@ -322,18 +333,49 @@ def _plan(cfg: ModelConfig) -> list[Stage]:
     return table
 
 
-def _plan_params(plan: list[Stage]) -> dict[str, _Param]:
-    """Parameter name -> ``_Param``, in table order: the checkpoint layout."""
-    return {f"{prefix}.{field}": param for stage in plan for prefix, block in stage.blocks.items()
-            for field, param in block.params.items()}
+def _plan_groups(plan: list[Stage]) -> list[tuple[tuple[str, ...], tuple[_Param, ...]]]:
+    """Each parameter group's names and ``_Param``s, in table order: the checkpoint layout."""
+    return [(tuple(f"{prefix}.{field}" for field in group), tuple(block.params[field] for field in group))
+            for stage in plan for prefix, block in stage.blocks.items() for group in block.field_groups()]
 
 
-def _assemble(cfg: ModelConfig, plan: list[Stage], value: Callable[[str, _Param], np.ndarray]) -> Model:
-    """The model of ``plan`` whose parameter ``name`` holds ``value(name, param)``, asked in table order."""
-    return Model(cfg, [Stage(stage.name, stage.rows, {
-        prefix: block.cls(**{field: Variable(Tensor._wrap(value(f"{prefix}.{field}", param)))
-                             for field, param in block.params.items()})
-        for prefix, block in stage.blocks.items()}, stage.forward, stage.shapes) for stage in plan])
+def _group_shape(params: Sequence[_Param]) -> tuple[int, ...]:
+    """The shape of a group's array: its one field's, or one row per field."""
+    return params[0].shape if len(params) == 1 else (len(params), *params[0].shape)
+
+
+def _rows(arr: np.ndarray, group: Sequence) -> list[np.ndarray]:
+    """The values of a group's fields (``group`` has one entry per field) in its array.
+
+    They are its rows, or the array itself for a field alone.
+    """
+    return list(arr) if len(group) > 1 else [arr]
+
+
+def _assemble(cfg: ModelConfig, plan: list[Stage],
+              value: Callable[[list[_Param]], np.ndarray]) -> Model:
+    """The model of ``plan`` whose parameter groups hold ``value(params)``, asked in table order.
+
+    ``value`` gets a group's ``_Param``s (``_Block.field_groups``) and
+    gives its array. The array is made read-only, and each field's tensor
+    is its row of the array, or the array for a field alone. So a model's
+    LSTM gate tensors are the rows of one array per group, which
+    :meth:`~actionseg.layers.LSTMParams.stacked` reads as it is.
+    """
+    def assemble(block: _Block):
+        values = {}
+        for group in block.field_groups():
+            arr = value([block.params[field] for field in group])
+            if len(group) == 1:
+                values[group[0]] = arr
+            else:
+                arr.setflags(write=False)
+                values.update(zip(group, arr))
+        return block.cls(**{field: Variable(Tensor._wrap(arr)) for field, arr in values.items()})
+
+    return Model(cfg, [Stage(stage.name, stage.rows,
+                             {prefix: assemble(block) for prefix, block in stage.blocks.items()},
+                             stage.forward, stage.shapes) for stage in plan])
 
 
 def build(config: ModelConfig) -> Model:
@@ -343,14 +385,21 @@ def build(config: ModelConfig) -> Model:
     zero except the recurrent forget gates, which start at one. Parameters
     are drawn in table order. The encoder comes first and is identical for
     every variant, so two variants built from the same seed share encoder
-    parameters exactly.
+    parameters exactly. A group of fields is drawn in one call: the draws
+    of a (4, H, in) array are those of four (H, in) arrays, one after the
+    other, and leave the generator where those do.
     """
     init = np.random.default_rng(config.seed)
 
-    def draw(name: str, p: _Param) -> np.ndarray:
-        if p.limit is None:
-            return np.ones(p.shape) if p.ones else np.zeros(p.shape)
-        return init.uniform(-p.limit, p.limit, size=p.shape)
+    def draw(params: list[_Param]) -> np.ndarray:
+        limit, shape = params[0].limit, _group_shape(params)
+        if limit is not None:
+            return init.uniform(-limit, limit, size=shape)
+        arr = np.zeros(shape)
+        for row, p in zip(_rows(arr, params), params):
+            if p.ones:
+                row[...] = 1.0
+        return arr
 
     return _assemble(config, _plan(config), draw)
 
@@ -405,13 +454,16 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, validating every tensor shape.
 
     The config block fixes every parameter's name and shape (``_plan``).
-    Each record is checked against them, and its size against the file's
-    length, before its array is allocated; so a file whose config claims a
-    large model allocates nothing it does not hold. The record is then
-    read straight into that array, so a load holds each byte once: the
-    records sit at any byte offset, and numpy computes on unaligned views
-    neither as fast nor with the same bits as on aligned arrays. A file
-    that cannot be read, a directory included, is a LoadError.
+    Each record is checked against them before it is read. A group's array
+    (``_Block.groups``: the four LSTM gate weights of one kind share one)
+    is allocated at the group's first record, after checking that the
+    whole group's bytes fit in what is left of the file; so a file whose
+    config claims a large model allocates nothing it does not hold. Each
+    record is then read straight into its row of that array, so a load
+    holds each byte once: the records sit at any byte offset, and numpy
+    computes on unaligned views neither as fast nor with the same bits as
+    on aligned arrays. A file that cannot be read, a directory included,
+    is a LoadError.
     """
     try:
         with open(path, "rb") as fh:
@@ -443,8 +495,12 @@ def _read_checkpoint(path, fh) -> Model:
         raise LoadError(f"{path}: bad config block: {exc}") from exc
 
     plan = _plan(config)
-    expected = _plan_params(plan)
-    arrays: dict[str, np.ndarray] = {}
+    groups = _plan_groups(plan)
+    # each parameter's shape, group index and row in its group's array
+    expected = {name: (p.shape, g, row) for g, (names, params) in enumerate(groups)
+                for row, (name, p) in enumerate(zip(names, params))}
+    arrays: list[np.ndarray | None] = [None] * len(groups)
+    seen: set[str] = set()
     (n_tensors,) = take("<I")
     for _ in range(n_tensors):
         (name_len,) = take("<H")
@@ -455,24 +511,31 @@ def _read_checkpoint(path, fh) -> Model:
             raise LoadError(f"{path}: parameter name {raw!r} is not UTF-8") from exc
         (ndim,) = take("<B")
         shape = take(f"<{ndim}I")
-        if name in arrays:
+        if name in seen:
             raise LoadError(f"{path}: parameter {name!r} is stored twice")
         if name not in expected:
             raise LoadError(f"{path}: unknown parameter {name!r} for this config")
-        if shape != expected[name].shape:
-            raise LoadError(f"{path}: parameter {name!r} has shape {shape}, "
-                            f"config expects {expected[name].shape}")
-        if fh.tell() + 8 * math.prod(shape) > size:
-            raise LoadError(f"{path}: truncated checkpoint")
-        arr = np.empty(shape, dtype="<f8")
+        want, g, row = expected[name]
+        if shape != want:
+            raise LoadError(f"{path}: parameter {name!r} has shape {shape}, config expects {want}")
+        seen.add(name)
+        names, params = groups[g]
+        if arrays[g] is None:
+            # the group's first record: all of its records are still to come
+            group_shape = _group_shape(params)
+            if fh.tell() + 8 * math.prod(group_shape) > size:
+                raise LoadError(f"{path}: truncated checkpoint")
+            arrays[g] = np.empty(group_shape, dtype="<f8")
+        arr = _rows(arrays[g], names)[row]
         # through a byte view: an array exporting its own buffer keeps a
         # description of it for as long as it lives
         if fh.readinto(arr.view(np.uint8)) != arr.nbytes:
             raise LoadError(f"{path}: truncated checkpoint")
-        arrays[name] = arr.astype(np.float64, copy=False)
-    missing = expected.keys() - arrays.keys()
+    missing = expected.keys() - seen
     if missing:
         raise LoadError(f"{path}: missing parameters: {sorted(missing)}")
     if fh.tell() != size:
         raise LoadError(f"{path}: trailing bytes after checkpoint payload")
-    return _assemble(config, plan, lambda name, p: arrays[name])
+    # in table order, as _assemble asks for them
+    values = (arr.astype(np.float64, copy=False) for arr in arrays)
+    return _assemble(config, plan, lambda params: next(values))

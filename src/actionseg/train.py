@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import (Tape, Variable, as_variable, finite_diff_check, node_of, record,
                        slice_axis, taping, _accum)
 from .errors import ContractError, ShapeError
+from .layers import _rows_of
 from .metrics import MetricsReport, _fmt_thr, evaluate
 from .model import Model, save_checkpoint
 from .tensor import Tensor
@@ -129,17 +130,37 @@ def adam_step(params, grads, state: AdamState):
     A gradient that is not C-ordered (the plain convolution's kernel
     gradient is a transposed view) is copied to C order first, so the
     moments and the updated parameter are C-ordered.
+
+    Parameters that are, in order, every row of one read-only array (a
+    model's LSTM gate weights, see ``LSTMParams.stacked``) get their
+    updates written into the same rows of one new array, read-only once
+    the step is done; only the output buffer differs, so the bits do not.
+    So the stacked weights stay views from step to step. A call that
+    updates only some rows of such an array gives them arrays of their
+    own.
     """
     params = list(params)
     grads = [g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64, order="C") for g in grads]
     if len(params) != len(grads):
         raise ContractError(f"{len(params)} parameters but {len(grads)} gradients")
+    by_base: dict[int, list[np.ndarray]] = {}
+    for p, g in zip(params, grads):
+        if g.shape != p.value.shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.value.shape}")
+        if p.value.data.base is not None:
+            by_base.setdefault(id(p.value.data.base), []).append(p.value.data)
+    # the new array of each whole group, and each member's row of it, by the id of its
+    # old row; the old rows are held until the call returns, so no id is reused
+    groups, outs = [], {}
+    for arrs in by_base.values():
+        base = _rows_of(arrs)
+        if base is not None:
+            groups.append(np.empty_like(base))
+            outs.update(zip(map(id, arrs), groups[-1]))
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1 ** state.t
     correction2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g in zip(params, grads):
-        if g.shape != p.value.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.value.shape}")
         m = state.m.get(p)
         if m is None:
             m = state.m[p] = np.zeros_like(g)
@@ -159,7 +180,9 @@ def adam_step(params, grads, state: AdamState):
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
         step /= tmp
-        p.value = Tensor._wrap(np.subtract(p.value.data, step, out=step))
+        p.value = Tensor._wrap(np.subtract(p.value.data, step, out=outs.get(id(p.value.data), step)))
+    for group in groups:
+        group.setflags(write=False)
     return params, state
 
 
@@ -307,10 +330,11 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
     block, so they are computed once; each probe reruns from the owning
     stage. The owning block is copied once per checked block, and the taped
     pass and every probe assign their variable to that copy's field. So the
-    copy's memoized weights (``layers._memo``) that the probed field does
-    not feed, such as a conv bias probe's merged kernels, are built once
-    per block; those it feeds are rebuilt per probe, since every probe's
-    tensor is a new object.
+    copy's derived weights that the probed field does not feed, such as a
+    conv bias probe's merged kernels (``layers._memo``) or the other gate
+    groups of an LSTM probe (``LSTMParams.stacked``), are built once per
+    block; those it feeds are rebuilt per probe, since every probe's tensor
+    is a new object.
     """
     shadow = [[replace(block, **{f.name: Variable(getattr(block, f.name).value) for f in fields(block)})
                for block in stage.blocks.values()] for stage in model.table]

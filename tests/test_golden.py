@@ -21,9 +21,11 @@ A change that moves any of those bits fails here; a change that moves them
 on purpose records new digests and says which moved.
 
 The bits depend on the BLAS build, whose kernels are chosen for the CPU at
-run time, and on its thread count. So the runs go to spawned workers with
-BLAS on one thread, and on a build other than the one the digests were
-recorded with the tests skip and name both.
+run time, and on its thread count, and on the SIMD kernels numpy's own
+ufuncs pick at run time. So the runs go to spawned workers with BLAS on one
+thread, and on a build other than the one the digests were recorded with
+(``worker_helpers.GOLDEN_BUILD``, which holds all three) the tests skip and
+name both.
 """
 
 import hashlib
@@ -39,7 +41,7 @@ from actionseg.cli import main
 from actionseg.data import SynthConfig, load_dataset, save_dataset, synth_generate
 from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.train import cross_entropy_loss, finite_difference_report, train
-from worker_helpers import blas_build, one_thread_pool, skip_unless_golden_build
+from worker_helpers import GOLDEN_BUILD, blas_build, one_thread_pool, skip_unless_golden_build
 
 GOLDEN_FORWARDS = {
     "full": "1b419c44137356691636b5455f9e7f38d4b5fe7403692d48180b5c56a8e8aeec",
@@ -74,7 +76,7 @@ GOLDEN_EVALS = {
 }
 
 
-def _forward_digest(variant: str) -> tuple[tuple[str, str], str]:
+def _forward_digest(variant: str) -> tuple[tuple[str, str, str], str]:
     """(this build, the digest of one seeded untaped forward of ``variant``)."""
     model = build(ModelConfig(input_dim=64, num_classes=10, variant=variant, k=2, conv_len=30,
                               hidden=64, seed=49))
@@ -83,7 +85,7 @@ def _forward_digest(variant: str) -> tuple[tuple[str, str], str]:
     return blas_build(), hashlib.sha256(probs.value.data.tobytes()).hexdigest()
 
 
-def _step_digest(variant: str) -> tuple[tuple[str, str], str]:
+def _step_digest(variant: str) -> tuple[tuple[str, str, str], str]:
     """(this build, the digest of one seeded taped step of ``variant``)."""
     model = build(ModelConfig(input_dim=64, num_classes=10, variant=variant, k=2, conv_len=30,
                               hidden=64, seed=41))
@@ -101,7 +103,7 @@ def _step_digest(variant: str) -> tuple[tuple[str, str], str]:
     return blas_build(), digest.hexdigest()
 
 
-def _report_digest(variant: str) -> tuple[tuple[str, str], str]:
+def _report_digest(variant: str) -> tuple[tuple[str, str, str], str]:
     """(this build, the digest of ``variant``'s gradient-check rows at a toy size)."""
     model = build(ModelConfig(input_dim=2, num_classes=2, variant=variant, k=1, conv_len=3,
                               hidden=2, seed=44))
@@ -124,7 +126,7 @@ def _train_run(variant: str, ds, checkpoint: Path):
                  checkpoint_path=checkpoint)
 
 
-def _train_digest(variant: str) -> tuple[tuple[str, str], str]:
+def _train_digest(variant: str) -> tuple[tuple[str, str, str], str]:
     """(this build, the digest of the checkpoint and ``report.kv`` of a seeded 3-epoch run)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "checkpoint.bin"
@@ -134,7 +136,7 @@ def _train_digest(variant: str) -> tuple[tuple[str, str], str]:
     return blas_build(), digest.hexdigest()
 
 
-def _eval_digest(variant: str) -> tuple[tuple[str, str], str]:
+def _eval_digest(variant: str) -> tuple[tuple[str, str, str], str]:
     """(this build, the digest of ``eval``'s ``report.kv`` on the training run's text dataset)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -184,3 +186,13 @@ def test_a_seeded_training_run_gives_the_golden_bytes(pool):
 
 def test_eval_of_a_text_dataset_gives_the_golden_report(pool):
     _expect_golden(pool, _eval_digest, GOLDEN_EVALS)
+
+
+def test_the_build_key_holds_numpys_simd_dispatch(monkeypatch):
+    # without AVX-512, np.exp gives other bits for 4.6 % of inputs, and four of
+    # the golden digests move, while OpenBLAS still picks its SkylakeX kernels
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4")
+    with one_thread_pool(1, monkeypatch) as pool:
+        here = pool.submit(blas_build).result()
+    assert here != GOLDEN_BUILD
+    assert "X86_V4" not in here[2].split()

@@ -630,6 +630,27 @@ def test_stacked_lstm_weights_follow_the_gate_tensors():
     assert p.stacked() is second
 
 
+def test_stacked_weights_are_views_only_of_gate_rows_in_field_order():
+    rng = np.random.default_rng(106)
+    hidden, in_dim = 3, 2
+    rows = rng.normal(size=(4, hidden, in_dim))
+    rows.setflags(write=False)
+    in_order = lstm_params(hidden, in_dim, rng, overrides={
+        name: Variable(Tensor._wrap(row)) for name, row in zip(("W_xi", "W_xf", "W_xo", "W_xc"), rows)})
+    assert np.shares_memory(in_order.stacked().wx, rows)
+    assert np.array_equal(in_order.stacked().wx, rows.reshape(4 * hidden, in_dim))
+
+    # rows 1, 0, 2, 3 as W_xi, W_xf, W_xo, W_xc: stacked, not read as the array
+    swapped = dataclasses.replace(in_order, W_xi=in_order.W_xf, W_xf=in_order.W_xi)
+    wx = swapped.stacked().wx
+    assert not np.shares_memory(wx, rows) and not wx.flags.writeable
+    assert np.array_equal(wx, np.concatenate([rows[1], rows[0], rows[2], rows[3]]))
+    x = Variable(rng.normal(size=(5, in_dim)))
+    fresh = L.LSTMParams(**{name: Variable(var.value.data.copy()) for name, var in swapped.blocks()})
+    assert np.array_equal(L.bilstm(x, swapped, in_order).value.data,
+                          L.bilstm(x, fresh, in_order).value.data)
+
+
 def test_upsample_bilstm_untaped_memory_stays_below_the_composite():
     s_len, channels, hidden = 1000, 128, 64
     rng = np.random.default_rng(105)

@@ -20,7 +20,7 @@ from actionseg.layers import Conv1DParams, DenseParams, LSTMParams
 from actionseg.model import (VARIANTS, ModelConfig, build, describe, format_describe,
                              load_checkpoint, save_checkpoint)
 from actionseg.tensor import Tensor
-from actionseg.train import cross_entropy_loss
+from actionseg.train import AdamState, adam_step, cross_entropy_loss, predict
 from memory_helpers import TracedMemory
 
 RNG = np.random.default_rng(60)
@@ -440,8 +440,62 @@ def test_loaded_parameters_are_aligned_arrays_of_their_own(tmp_path):
     save_checkpoint(m, path)
     for name, var in load_checkpoint(path).params.items():
         arr = var.value.data
-        assert arr.flags.aligned and arr.flags.owndata and not arr.flags.writeable, name
+        assert arr.flags.aligned and not arr.flags.writeable, name
+        # its own data, or a row of an aligned read-only array with its own (the
+        # LSTM gate groups), and never a view of the file's bytes
+        base = arr if arr.flags.owndata else arr.base
+        assert base.flags.owndata and base.flags.aligned and not base.flags.writeable, name
+        assert base is arr or any(row.ctypes.data == arr.ctypes.data and row.shape == arr.shape
+                                  for row in base), name
         assert arr.dtype == np.float64 and np.array_equal(arr, m.params[name].value.data), name
+
+
+def _assert_gate_groups_are_shared(model):
+    """Each LSTM block's W_x*, W_h* and b_* are consecutive rows of one read-only array each,
+    and its stacked weights are views of those arrays."""
+    units = [block for stage in model.table for block in stage.blocks.values()
+             if isinstance(block, LSTMParams)]
+    assert units
+    for unit in units:
+        stacked = unit.stacked()
+        for group, view in zip((LSTM_FIELDS[:4], LSTM_FIELDS[4:8], LSTM_FIELDS[8:]),
+                               (stacked.wx, stacked.wh_t, stacked.b)):
+            arrays = [getattr(unit, name).value.data for name in group]
+            base = arrays[0].base
+            assert isinstance(base, np.ndarray) and base.shape == (4, *arrays[0].shape), group
+            assert not base.flags.writeable, group
+            for k, arr in enumerate(arrays):
+                assert arr.base is base and arr.ctypes.data == base[k].ctypes.data, (group, k)
+                assert np.shares_memory(view, arr), (group, k)
+
+
+@pytest.mark.parametrize("variant", ["full", "high", "low"])
+def test_lstm_gate_weights_are_held_once(tmp_path, variant):
+    built = build(toy_config(variant))
+    _assert_gate_groups_are_shared(built)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(built, path)
+    _assert_gate_groups_are_shared(load_checkpoint(path))
+    state = AdamState(lr=0.01)
+    params = list(built.params.values())
+    for _ in range(2):
+        adam_step(params, [np.full(p.shape, 0.5) for p in params], state)
+    _assert_gate_groups_are_shared(built)
+
+
+def test_an_untaped_predict_holds_no_copy_of_the_weights(tmp_path):
+    # the stacked LSTM weights were copies kept on the model: 1.45 MB at this size
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=64, num_classes=10, variant="full", k=2,
+                                      conv_len=30, hidden=64, seed=3)), path)
+    warm, model = load_checkpoint(path), load_checkpoint(path)
+    x = np.random.default_rng(61).normal(size=(1000, 64))
+    predict(warm, x)  # fills the module caches (_dft, _phase_taps) at these shapes
+    with TracedMemory() as mem:
+        labels = predict(model, x)
+        held = mem.held()
+    assert labels.shape == (1000,)
+    assert held < 0.1e6, held
 
 
 def test_checkpoint_with_a_parameter_stored_twice_is_rejected(tmp_path):

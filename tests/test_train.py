@@ -9,7 +9,7 @@ import actionseg.layers as layers_mod
 import actionseg.train as train_mod
 from actionseg.autodiff import Tape, Variable, finite_diff_check
 from actionseg.data import SynthConfig, synth_generate
-from actionseg.errors import ContractError
+from actionseg.errors import ContractError, ShapeError
 from actionseg.layers import Conv1DParams, DenseParams, LSTMParams, softmax_time
 from actionseg.model import VARIANTS, ModelConfig, build
 from actionseg.tensor import Tensor
@@ -123,6 +123,15 @@ def test_adam_moments_are_keyed_on_the_parameter_variables():
     state = AdamState()
     adam_step(params, [np.ones(3), np.ones((2, 2))], state)
     assert list(state.m) == params and list(state.v) == params
+
+
+def test_adam_with_a_misshapen_gradient_changes_nothing():
+    first, second = Variable(np.ones(3), trainable=True), Variable(np.ones(2), trainable=True)
+    before = first.value
+    state = AdamState()
+    with pytest.raises(ShapeError):
+        adam_step([first, second], [np.ones(3), np.ones(3)], state)
+    assert first.value is before and state.t == 0 and not state.m
 
 
 def test_adam_matches_reference_recurrence():
