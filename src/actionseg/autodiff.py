@@ -237,11 +237,12 @@ def finite_diff_check(f, x, eps: float = 1e-5) -> float:
     error per coordinate is |analytic - numeric| / max(|analytic|, |numeric|,
     1e-8); the maximum over coordinates is returned.
 
-    Every evaluation receives its own Tensor object, so a memo keyed on
-    tensor identity (``layers._memo``) never sees one object with two
-    values. The probes' tensors share one read-only view of a single
-    buffer, so no data is copied per probe; as the buffer changes between
-    probes, no tape may be active (ContractError), or its rules would read it.
+    Every evaluation receives its own Tensor object, so an entry keyed on
+    tensor identity (``Conv1DParams.merged_kernels``,
+    ``LSTMParams.stacked``) never sees one object with two values. The
+    probes' tensors share one read-only view of a single buffer, so no data
+    is copied per probe; as the buffer changes between probes, no tape may
+    be active (ContractError), or its rules would read it.
     """
     if taping():
         raise ContractError("finite_diff_check must run with no tape active")

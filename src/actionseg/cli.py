@@ -20,7 +20,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .data import (SynthConfig, export_timeline, load_dataset, load_features,
+from .data import (SynthConfig, _load_labels, export_timeline, load_dataset, load_features,
                    save_dataset, synth_generate)
 from .errors import ConfigError, ContractError, LoadError, ShapeError
 from .model import VARIANTS, ModelConfig, build, format_describe, load_checkpoint
@@ -312,7 +312,6 @@ def cmd_predict(args) -> int:
     features = load_features(args.features)
     gt = None
     if args.labels is not None:
-        from .data import _load_labels
         gt = _load_labels(Path(args.labels), model.config.num_classes)
     out = _out_dir(args.out)
     pred = predict(model, features)
@@ -402,47 +401,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("inspect", help="print the layer table of a model")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--config", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--config")
     p.add_argument("--ref-frames", type=int, default=None)
     p.set_defaults(fn=cmd_inspect)
     return parser
 
 
-# the options whose value may be a negative number
-_NUMBER_OPTIONS = ("--eps", "--tolerance")
-
-
-def _attach_numbers(argv: list[str]) -> list[str]:
-    """``argv`` with each of ``_NUMBER_OPTIONS`` and a negative number after it joined as ``flag=value``.
-
-    argparse reads a token that starts with '-' as a value only if it looks
-    like ``-5`` or ``-0.5``, so ``--eps -1e-5`` failed with "expected one
-    argument" before the flag's range check could name it.
-    """
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in _NUMBER_OPTIONS and token.startswith("-") and _is_number(token):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
-    if args.command == "inspect" and (args.checkpoint is None) == (args.config is None):
-        print("inspect needs exactly one of --checkpoint or --config", file=sys.stderr)
-        return 2
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except TrainingDiverged as exc:

@@ -161,25 +161,19 @@ def save_dataset(dataset: Dataset, out_dir, binary: bool = False) -> Path:
     return out / "manifest.txt"
 
 
-def _read(path: Path) -> bytes:
-    """The whole file; a file that cannot be read is a :class:`LoadError`."""
+def _read_text(path: Path, blob: bytes | None = None) -> str:
+    """The file's text, from ``blob`` if already read; unreadable or not UTF-8 is a :class:`LoadError`."""
     try:
-        return path.read_bytes()
+        return (path.read_bytes() if blob is None else blob).decode("utf-8")
     except OSError as exc:
         raise LoadError(f"{path}: cannot read: {exc.strerror}") from exc
-
-
-def _read_text(path: Path, blob: bytes | None = None) -> str:
-    """The file's text, from ``blob`` if already read; bytes not UTF-8 are a :class:`LoadError`."""
-    blob = _read(path) if blob is None else blob
-    try:
-        return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path}: not UTF-8 (byte {exc.start})") from exc
 
 
 def _parse_manifest(path: Path) -> DatasetManifest:
     keys: dict[str, str] = {}
+    at: dict[str, str] = {}  # "path:line" of each key
     splits: dict[str, list[str]] = {}
     current: list[str] | None = None
     seen_anywhere: dict[str, str] = {}
@@ -212,28 +206,32 @@ def _parse_manifest(path: Path) -> DatasetManifest:
         if key not in ("version", "feature_dim", "classes", "background", "shared_splits"):
             raise LoadError(f"{path}:{lineno}: unknown manifest key {key!r}")
         keys[key] = value
+        at[key] = f"{path}:{lineno}"
 
     for required in ("version", "feature_dim", "classes"):
         if required not in keys:
             raise LoadError(f"{path}: missing manifest key {required!r}")
     if keys["version"] != "1":
-        raise LoadError(f"{path}: unsupported manifest version {keys['version']!r}")
+        raise LoadError(f"{at['version']}: unsupported manifest version {keys['version']!r}")
     try:
         feature_dim = int(keys["feature_dim"])
     except ValueError as exc:
-        raise LoadError(f"{path}: feature_dim is not an integer: {keys['feature_dim']!r}") from exc
+        raise LoadError(f"{at['feature_dim']}: feature_dim is not an integer: "
+                        f"{keys['feature_dim']!r}") from exc
     class_names = [c.strip() for c in keys["classes"].split(",")]
     if any(not c for c in class_names):
-        raise LoadError(f"{path}: empty class name in {keys['classes']!r}")
+        raise LoadError(f"{at['classes']}: empty class name in {keys['classes']!r}")
     background = None
     if "background" in keys:
         try:
             background = int(keys["background"])
         except ValueError as exc:
-            raise LoadError(f"{path}: background is not an integer: {keys['background']!r}") from exc
+            raise LoadError(f"{at['background']}: background is not an integer: "
+                            f"{keys['background']!r}") from exc
     if "shared_splits" in keys:
         if keys["shared_splits"] not in ("allow", "deny"):
-            raise LoadError(f"{path}: shared_splits must be allow or deny, got {keys['shared_splits']!r}")
+            raise LoadError(f"{at['shared_splits']}: shared_splits must be allow or deny, "
+                            f"got {keys['shared_splits']!r}")
         shared = keys["shared_splits"] == "allow"
 
     if not shared:

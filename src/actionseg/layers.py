@@ -21,12 +21,13 @@ algorithms, one GEMM per input offset for short inputs and short kernels,
 and overlap-save correlation in the frequency domain for long ones;
 :func:`_dft_length` picks one per call from the shapes, by a count of
 multiply-adds calibrated once and recorded in its docstring. The
-upsampled convolution's merged kernels are memoized on the kernel tensor
-by :func:`_memo`. The LSTM gates have one order, that of the
-:class:`LSTMParams` fields, in the stacked weights, the forward pass and
-the backward pass alike. The stacked weights are views, not copies: a
-model's gate tensors are the rows of one array per group of four
-(``LSTM_GROUPS``), and :meth:`LSTMParams.stacked` reads those arrays.
+upsampled convolution's merged kernels are kept on the block while its
+kernel tensor stays (:meth:`Conv1DParams.merged_kernels`). The LSTM
+gates have one order, that of the :class:`LSTMParams` fields, in the
+stacked weights, the forward pass and the backward pass alike. The
+stacked weights are views, not copies: a model's gate tensors are the
+rows of one array per group of four (``LSTM_GROUPS``), and
+:meth:`LSTMParams.stacked` reads those arrays.
 
 Scratch that would grow with the input is formed a block at a time, in
 blocks long enough to keep the bits of the whole: the Bi-LSTM's input
@@ -96,42 +97,31 @@ class Conv1DParams:
 
         Row block r of entry d sums the taps through which output phase r of
         an upsampled convolution reads input offset d (:func:`_phase_taps`).
-        Memoized on the kernel tensor (:func:`_memo`).
+        The result is kept on the block while its kernel tensor stays,
+        matched by identity; tensors are immutable, so the entry is current
+        exactly while the block holds its tensor. ``adam_step`` installs a
+        new one, so training rebuilds once per step. The entry lives in the
+        block's ``__dict__`` and nowhere else, so a copy of a block
+        (``dataclasses.replace``, as the gradient report makes once per
+        checked block) starts with no entry and builds from its own tensor.
+        Assigning a new variable to the bias keeps the entry: the gradient
+        report's bias probes reuse their copy's merged kernels. The entry
+        holds its tensor, so no id can be reused while it stands.
         """
-        return _memo(self, "_merged", (self.kernels.value,), _merge_taps)
+        kt = self.kernels.value
+        held, value = self.__dict__.get("_merged", (None, None))
+        if held is not kt:
+            value = _merge_taps(kt)
+            value.setflags(write=False)
+            # one assignment: a concurrent caller sees the old entry or the new one
+            self._merged = kt, value
+        return value
 
 
 def _merge_taps(kt: Tensor) -> np.ndarray:
     filters, cin, width = kt.shape
     taps, _ = _phase_taps(width)
     return (taps @ kt.data.reshape(filters * cin, width).T).reshape(-1, 2 * filters, cin)
-
-
-def _memo(owner, slot: str, key: tuple, build):
-    """``build(*key)``, kept on ``owner`` as ``slot`` while the key's tensors stay.
-
-    It keeps the merged kernels of :meth:`Conv1DParams.merged_kernels`; the
-    stacked LSTM weights are views of the gate tensors' own arrays
-    (:meth:`LSTMParams.stacked`). Keys are tuples of tensors, matched by
-    identity; tensors are immutable, so an entry is current exactly while
-    the parameters hold its tensors. ``adam_step`` installs new ones, so
-    training rebuilds once per step. The entry lives in the owner's
-    ``__dict__`` and nowhere else, so a copy of a block
-    (``dataclasses.replace``, as the gradient report makes once per checked
-    block) starts with no entry and builds from its own tensors. Assigning
-    a new variable to the bias of a block keeps its entry: the gradient
-    report's bias probes reuse their copy's merged kernels. The key is
-    held, so no id in it can be reused; key and value are stored in one
-    assignment, so a concurrent caller sees the old pair or the new one; and
-    the value's array is read-only.
-    """
-    cached = owner.__dict__.get(slot)
-    if cached is not None and all(map(operator.is_, cached[0], key)):
-        return cached[1]
-    value = build(*key)
-    value.setflags(write=False)
-    setattr(owner, slot, (key, value))
-    return value
 
 
 @dataclass
@@ -185,9 +175,9 @@ class LSTMParams:
         leave them, so the stacked weights are views and no copy is held;
         or else the four stacked afresh (:func:`_gate_rows`). The result is
         kept on the block while its 12 tensors stay, matched by identity
-        as in :func:`_memo`. On a miss, a group whose four tensors did not
-        change keeps its array from the stale entry: a gradient-check probe
-        of one field rebuilds only that field's group.
+        as in :meth:`Conv1DParams.merged_kernels`. On a miss, a group whose
+        four tensors did not change keeps its array from the stale entry: a
+        gradient-check probe of one field rebuilds only that field's group.
         """
         key = _LSTM_TENSORS(self)
         old_key, old_rows, value = self.__dict__.get("_stacked", ((None,) * 12, (None,) * 3, None))

@@ -331,10 +331,10 @@ def finite_difference_report(model: Model, x, labels, eps: float = 1e-5) -> list
     stage. The owning block is copied once per checked block, and the taped
     pass and every probe assign their variable to that copy's field. So the
     copy's derived weights that the probed field does not feed, such as a
-    conv bias probe's merged kernels (``layers._memo``) or the other gate
-    groups of an LSTM probe (``LSTMParams.stacked``), are built once per
-    block; those it feeds are rebuilt per probe, since every probe's tensor
-    is a new object.
+    conv bias probe's merged kernels (``Conv1DParams.merged_kernels``) or
+    the other gate groups of an LSTM probe (``LSTMParams.stacked``), are
+    built once per block; those it feeds are rebuilt per probe, since every
+    probe's tensor is a new object.
     """
     shadow = [[replace(block, **{f.name: Variable(getattr(block, f.name).value) for f in fields(block)})
                for block in stage.blocks.values()] for stage in model.table]

@@ -4,6 +4,7 @@ import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import actionseg.layers
 from actionseg.cli import _SYNTH_KEYS, RunConfig, _render, main, parse_run_config, parse_synth_config
 from actionseg.errors import ConfigError
-from actionseg.model import ModelConfig, build, save_checkpoint
+from actionseg.model import VARIANTS, ModelConfig, build, save_checkpoint
 
 SYNTH_CFG = """
 [synth]
@@ -141,6 +142,22 @@ def test_eval_on_an_empty_split_exits_2_naming_it(workdir, capsys):
     assert not (workdir / "ev" / "report.kv").exists()
 
 
+@pytest.mark.parametrize("input_dim, num_classes, named", [
+    (6, 4, "checkpoint expects feature dim 6, manifest has 5"),
+    (5, 3, "checkpoint expects 3 classes, manifest has 4"),
+], ids=["feature-dim", "classes"])
+def test_eval_with_a_checkpoint_that_does_not_fit_the_manifest_exits_2(workdir, capsys, input_dim,
+                                                                       num_classes, named):
+    ckpt = workdir / "checkpoint.bin"
+    save_checkpoint(build(ModelConfig(input_dim=input_dim, num_classes=num_classes, k=1, conv_len=2,
+                                      hidden=2)), ckpt)
+    cfg = write_run_cfg(workdir, epochs=1)
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(workdir / "ev")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {named}" in captured.err and captured.out == ""
+    assert not (workdir / "ev" / "report.kv").exists()
+
+
 def test_eval_on_training_split_after_overfit(workdir):
     cfg = write_run_cfg(workdir, epochs=60)
     assert main(["train", "--config", str(cfg), "--out", str(workdir / "long")]) == 0
@@ -251,6 +268,15 @@ def test_gradcheck_passes_on_small_config(capsys):
     assert "enc1.conv.kernels" in out and "out.W" in out and "worst" in out
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_gradcheck_on_a_length_that_needs_padding_passes(variant, capsys):
+    # 5 frames pad to 6 at depth 1, so the report trims the padded output
+    model = build(ModelConfig(input_dim=3, num_classes=2, variant=variant, k=1))
+    assert model.prepare_input(np.zeros((5, 3)))[0].shape[0] == 6
+    assert main(["gradcheck", "--variant", variant, "--depth", "1", "--frames", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[::2] == ["worst", "ok"]
+
+
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     true_norm_relu = actionseg.layers.norm_relu
 
@@ -302,16 +328,17 @@ def test_gradcheck_step_or_tolerance_out_of_range_exits_2_naming_the_flag(flag, 
 
 @pytest.mark.parametrize("flag, value", [("--eps", "-1e-5"), ("--tolerance", "-1e-3"),
                                          ("--eps", "-inf")])
-def test_gradcheck_negative_number_as_its_own_token_gets_the_range_error(flag, value, monkeypatch,
-                                                                        capsys):
-    # argparse alone takes "-1e-5" for an option and exits with "expected one argument"
+def test_gradcheck_negative_number_as_its_own_token_is_a_usage_error(flag, value, monkeypatch, capsys):
+    # argparse takes "-1e-5" for an option; "--eps=-1e-5" gets the range error
     def report(*args, **kw):
         raise AssertionError("the report ran")
 
     monkeypatch.setattr("actionseg.cli.finite_difference_report", report)
-    assert main(["gradcheck", "--depth", "1", "--frames", "4", flag, value]) == 2
+    with pytest.raises(SystemExit) as exited:
+        main(["gradcheck", "--depth", "1", "--frames", "4", flag, value])
+    assert exited.value.code == 2
     captured = capsys.readouterr()
-    assert f"error: {flag} must be finite" in captured.err and captured.out == ""
+    assert f"{flag}: expected one argument" in captured.err and captured.out == ""
 
 
 def test_train_lr_that_is_not_finite_exits_2_naming_the_key(workdir, capsys):
@@ -341,8 +368,12 @@ def test_inspect_from_config_and_checkpoint(workdir, capsys):
     assert main(["inspect", "--config", str(cfg)]) == 0
     assert "enc1.conv" in capsys.readouterr().out
     assert main(["train", "--config", str(cfg), "--out", str(workdir / "run")]) == 0
-    assert main(["inspect", "--checkpoint", str(workdir / "run" / "checkpoint.bin")]) == 0
-    assert main(["inspect"]) == 2
+    ckpt = str(workdir / "run" / "checkpoint.bin")
+    assert main(["inspect", "--checkpoint", ckpt]) == 0
+    for argv in (["inspect"], ["inspect", "--checkpoint", ckpt, "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
 
 
 @pytest.mark.parametrize("ref_frames", ["0", "-4"])

@@ -148,6 +148,31 @@ def test_unknown_manifest_key_rejected(tmp_path):
     assert "wibble" in str(err.value)
 
 
+MANIFEST = ["version = 1", "feature_dim = 3", "classes = bg,walk,run", "background = 0",
+            "shared_splits = deny", "", "[split train]", "s0", "s1", "", "[split test]", "s2"]
+
+
+@pytest.mark.parametrize("lineno, text, named", [
+    (7, "[split]", "bad section header"),
+    (11, "[split train]", "duplicate split 'train'"),
+    (9, "s0", "duplicate sample 's0' within one split"),
+    (1, "version = 2", "unsupported manifest version '2'"),
+    (2, "feature_dim = 3.0", "feature_dim is not an integer"),
+    (3, "classes = bg,,run", "empty class name"),
+    (4, "background = none", "background is not an integer"),
+    (5, "shared_splits = maybe", "shared_splits must be allow or deny"),
+], ids=["section-header", "duplicate-split", "duplicate-sample", "version", "feature-dim",
+        "empty-class", "background", "shared-splits"])
+def test_a_manifest_defect_names_its_file_and_line(tmp_path, lineno, text, named):
+    lines = list(MANIFEST)
+    lines[lineno - 1] = text
+    path = tmp_path / "manifest.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LoadError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: {named}")
+
+
 def test_overlapping_splits_default_error_allowed_when_marked(tmp_path):
     ds = small_dataset()
     ds.manifest.splits["test"] = ["s2", "s0"]  # s0 shared with train

@@ -1,24 +1,25 @@
 """The tests' one way to run work in other processes: spawned workers, BLAS on one thread.
 
 Also the build whose bits the byte-pinning tests were recorded with (numpy,
-its SIMD dispatch and its BLAS), and the check that skips them, naming
+the bits of its ufuncs and its BLAS), and the check that skips them, naming
 both builds, on another one.
 """
 
 import ctypes
 import glob
+import hashlib
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from numpy._core import _multiarray_umath
+from scipy.special import expit
 
 # (numpy version, OpenBLAS configuration as the library reports it at run time,
-# numpy's enabled SIMD dispatch targets)
+# sha256 of the elementwise functions' bits on a fixed probe)
 GOLDEN_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
-                "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+                "0afd3d691079da6201cd77bd0b90af3150b83eadbbce2928410b5c8c33e8bcc4")
 
 
 def one_thread_pool(workers, monkeypatch):
@@ -34,15 +35,16 @@ def one_thread_pool(workers, monkeypatch):
 
 
 def blas_build() -> tuple[str, str, str]:
-    """(numpy version, OpenBLAS configuration, numpy's enabled dispatch targets) of this process.
+    """(numpy version, OpenBLAS configuration, elementwise bits) of this process.
 
     A numpy wheel bundles its OpenBLAS beside the package; its run-time
     configuration, read from the loaded library, names the kernels chosen
     for this CPU. Elsewhere the build-time configuration stands in. numpy's
     own ufuncs pick their SIMD kernels at run time too (``np.exp`` gives
     other bits without AVX-512), from the dispatch targets this CPU has and
-    ``NPY_DISABLE_CPU_FEATURES`` leaves on; ``__cpu_features__`` honours
-    that variable.
+    ``NPY_DISABLE_CPU_FEATURES`` leaves on. Some targets move no bits, so
+    the key holds the bits themselves: a sha256 of every elementwise
+    function the package calls, on 100,000 seeded values.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     config = blas.get("openblas configuration", f"{blas['name']} {blas['version']}")
@@ -54,14 +56,17 @@ def blas_build() -> tuple[str, str, str]:
                 get_config.restype = ctypes.c_char_p
                 config = get_config().decode()
                 break
-    features = _multiarray_umath.__cpu_features__
-    dispatch = " ".join(t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t))
-    return np.__version__, config, dispatch
+    x = np.random.default_rng(0).normal(0.0, 4.0, 100_000)
+    bits = hashlib.sha256()
+    for f, v in ((np.exp, x), (np.log, np.abs(x)), (np.tanh, x), (np.sqrt, np.abs(x)),
+                 (np.cos, x), (np.sin, x), (expit, x)):
+        bits.update(f(v).tobytes())
+    return np.__version__, config, bits.hexdigest()
 
 
 def skip_unless_golden_build(here: tuple[str, str, str]) -> None:
     """Skip the calling test, naming both builds, unless ``here`` is :data:`GOLDEN_BUILD`."""
     if here != GOLDEN_BUILD:
-        pytest.skip(f"these bits were recorded with numpy {GOLDEN_BUILD[0]} (dispatch "
-                    f"{GOLDEN_BUILD[2]!r}) and {GOLDEN_BUILD[1]!r}; this build has numpy "
-                    f"{here[0]} (dispatch {here[2]!r}) and {here[1]!r}")
+        pytest.skip(f"these bits were recorded with numpy {GOLDEN_BUILD[0]} (elementwise bits "
+                    f"{GOLDEN_BUILD[2][:12]}) and {GOLDEN_BUILD[1]!r}; this build has numpy "
+                    f"{here[0]} (elementwise bits {here[2][:12]}) and {here[1]!r}")
